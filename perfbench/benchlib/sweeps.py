@@ -23,11 +23,13 @@ so runs on different seeds would not measure the same work.
 from __future__ import annotations
 
 import dataclasses
-import multiprocessing
+import json
 import os
 import random
 import shutil
 import statistics
+import subprocess
+import sys
 import time
 from pathlib import Path
 from typing import Any
@@ -62,7 +64,8 @@ MACHINE = "baseline"
 SIMCFG = SimulationConfig(warmup_cycles=1000, measure_cycles=6000, trace_length=30000)
 INGEST_NAME = "bench-mcf"
 INGEST_POLICIES = ("icount", "flush", "dwarn")
-FIXTURE = Path(__file__).resolve().parents[2] / "examples" / "traces" / "sample-mcf.dwit"
+BENCH_DIR = Path(__file__).resolve().parents[1]
+FIXTURE = BENCH_DIR.parent / "examples" / "traces" / "sample-mcf.dwit"
 SETUP_REPEATS = 3
 #: Seconds one sweep takes on the reference host; --seconds / this = sweeps.
 UNIT_SECONDS = 10.0
@@ -212,16 +215,52 @@ def _fill_plan(pairs: list[tuple[str, str]]) -> list[list[str]]:
     return [first, second]
 
 
+#: One fill process:
+#: ``python3 -c _FILL_MAIN <perfbench dir> <out.json> <traced 0|1> <trace dir> <units...>``.
+_FILL_MAIN = (
+    "import json, sys; sys.path.insert(0, sys.argv[1]); "
+    "from benchlib.sweeps import _fill_traces; "
+    "open(sys.argv[2], 'w').write(json.dumps("
+    "_fill_traces(sys.argv[4], sys.argv[5:], sys.argv[3] == '1')))"
+)
+FILL_TIMEOUT_S = 150.0
+
+
+def _run_fills(state: Path, rep: int, trace_dir: Path, plan: list[list[str]], traced: bool):  # type: ignore[no-untyped-def]
+    """Run one fresh interpreter per fill list at once and wait for each.
+
+    Plain child interpreters rather than a ``spawn`` pool: a spawn pool
+    starts multiprocessing's resource tracker, which outlives the benchmark.
+    """
+    outs = [state / f"fill{rep}-{i}.json" for i in range(len(plan))]
+    procs = []
+    try:
+        for out, units in zip(outs, plan):
+            argv = [sys.executable, "-c", _FILL_MAIN, str(BENCH_DIR), str(out),
+                    "1" if traced else "0", str(trace_dir), *units]
+            procs.append(subprocess.Popen(argv, stdin=subprocess.DEVNULL))
+        for proc in procs:
+            if proc.wait(timeout=FILL_TIMEOUT_S) != 0:
+                raise RuntimeError(f"trace fill exited with code {proc.returncode}")
+    finally:
+        for proc in procs:
+            if proc.poll() is None:
+                proc.kill()
+            proc.wait()
+    fills = [json.loads(out.read_text()) for out in outs]
+    for out in outs:
+        out.unlink()
+    return fills
+
+
 def _setup(state: Path, rep: int, pairs: list[tuple[str, str]], traced: bool):  # type: ignore[no-untyped-def]
-    """One set-up: two spawned processes (so import cost counts) fill the
+    """One set-up: two fresh interpreters (so import cost counts) fill the
     trace artifacts; the fixture is registered where workers resolve it."""
     trace_dir = state / f"traces{rep}"
     ingest_dir = state / f"ingested{rep}"
+    state.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
-    with multiprocessing.get_context("spawn").Pool(PROCESSES) as pool:
-        fills = pool.starmap(
-            _fill_traces, [(str(trace_dir), units, traced) for units in _fill_plan(pairs)]
-        )
+    fills = _run_fills(state, rep, trace_dir, _fill_plan(pairs), traced)
     target = ingest_dir / f"{INGEST_NAME}{ingest.INGEST_SUFFIX}"
     ingest_dir.mkdir(parents=True)
     shutil.copyfile(FIXTURE, target)
