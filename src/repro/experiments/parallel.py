@@ -61,7 +61,6 @@ from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 from repro.config import MachineConfig, SimulationConfig
 from repro.core import SimResult, Simulator, make_policy
 from repro.core.columnar import ColumnarState, SnapshotError, run_checkpointed
-from repro.core.vec import VecBatchSimulator, VecLaneError
 from repro.experiments.runner import ExperimentRunner
 from repro.trace.artifact import TraceArtifactCache
 from repro.workloads import build_programs, build_single, get_workload, workloads_for_machine
@@ -424,6 +423,10 @@ def run_pairs(
 
     serial = processes is not None and processes <= 1
     if backend == "vec":
+        # Imported here, not at module level: the vec backend pulls in numpy,
+        # which every fill worker, service shard and CLI start would pay for.
+        from repro.core.vec import VecBatchSimulator, VecLaneError
+
         trace_cache = TraceArtifactCache(trace_cache_dir) if trace_cache_dir else None
         try:
             batch = VecBatchSimulator(

@@ -35,7 +35,7 @@ policies manage.
 from __future__ import annotations
 
 from repro.trace.profiles import BenchmarkProfile
-from repro.utils.rng import SplitMix64
+from repro.utils.rng import SplitMix64, u53_threshold
 
 __all__ = [
     "AddressSpace",
@@ -54,6 +54,12 @@ LINE_BYTES = 64
 L1_SETS = 512
 #: L1 sets used by the warm tier start here, clear of the hot tier's sets.
 _WARM_SET_BASE = 256
+#: Raw draws fetched per refill of an address space's draw buffer.
+_BLOCK = 4096
+#: Most draws one ``load_address``/``store_address`` call consumes.
+_MAX_DRAWS = 3
+#: Integer threshold of the stores' 5% warm-tier share (see ``u53_threshold``).
+_T_STORE_WARM = u53_threshold(0.05)
 
 HOT_OFFSET = 0
 WARM_OFFSET = 64 << 20
@@ -89,10 +95,15 @@ class AddressSpace:
         "base",
         "stagger",
         "_rng",
+        "_buf",
+        "_pos",
+        "_limit",
         "_warm_ptr",
         "_cold_ptr",
         "_p_warm_cum",
         "_p_cold_cum",
+        "_t_warm",
+        "_t_cold",
         "warm_groups",
         "warm_tags",
         "_warm_set_base",
@@ -109,10 +120,17 @@ class AddressSpace:
         self.base = base
         self.stagger = set_stagger(base)
         self._rng = SplitMix64(seed)
+        # Draws come from a block buffer; ``_rng`` runs ahead of the draws
+        # actually consumed until ``release_draws`` hands the rest back.
+        self._buf: list[int] = []
+        self._pos = 0
+        self._limit = -_MAX_DRAWS
         self._warm_ptr = 0
         self._cold_ptr = self.stagger
         self._p_cold_cum = profile.p_cold
         self._p_warm_cum = profile.p_cold + profile.p_warm
+        self._t_cold = u53_threshold(self._p_cold_cum)
+        self._t_warm = u53_threshold(self._p_warm_cum)
         self._warm_set_base = (_WARM_SET_BASE + self.stagger) % L1_SETS
 
         # Size the warm set to ~6 reuses per tag, within hardware bounds:
@@ -126,9 +144,14 @@ class AddressSpace:
 
     def load_address(self) -> int:
         """Next load effective address."""
-        u = self._rng.next_float()
-        if u < self._p_cold_cum:
+        pos = self._pos
+        if pos > self._limit:
+            pos = self._refill()
+        buf = self._buf
+        k = buf[pos] >> 11  # next_float() < p  <=>  k < u53_threshold(p)
+        if k < self._t_cold:
             # Streaming tier: a brand-new line every access.
+            self._pos = pos + 1
             addr = (
                 self.base
                 + COLD_OFFSET
@@ -136,11 +159,13 @@ class AddressSpace:
             )
             self._cold_ptr += 1
             return addr
-        if u < self._p_warm_cum:
+        if k < self._t_warm:
+            self._pos = pos + 1
             return self._warm_address()
         # Hot tier: random line within an L1-resident set.
-        line = self.stagger + self._rng.next_below(self.profile.hot_lines)
-        offset = (self._rng.next_u64() >> 32) & (LINE_BYTES - 8)
+        self._pos = pos + 3
+        line = self.stagger + buf[pos + 1] % self.profile.hot_lines
+        offset = (buf[pos + 2] >> 32) & (LINE_BYTES - 8)
         return self.base + HOT_OFFSET + line * LINE_BYTES + offset
 
     def _warm_address(self) -> int:
@@ -159,11 +184,36 @@ class AddressSpace:
         warm share keeps write-allocate traffic realistic without disturbing
         the calibrated *load* miss rates.
         """
-        u = self._rng.next_float()
-        if u < 0.05:
+        pos = self._pos
+        if pos > self._limit:
+            pos = self._refill()
+        buf = self._buf
+        if buf[pos] >> 11 < _T_STORE_WARM:
+            self._pos = pos + 1
             return self._warm_address()
-        line = self.stagger + self._rng.next_below(max(16, self.profile.hot_lines // 2))
+        self._pos = pos + 2
+        line = self.stagger + buf[pos + 1] % max(16, self.profile.hot_lines // 2)
         return self.base + STACK_OFFSET + line * LINE_BYTES
+
+    def _refill(self) -> int:
+        """Append a fresh block to the unconsumed draws; returns the new
+        read position (0)."""
+        self._buf = self._buf[self._pos :] + self._rng.block(_BLOCK)
+        self._pos = 0
+        self._limit = len(self._buf) - _MAX_DRAWS
+        return 0
+
+    def release_draws(self) -> None:
+        """Drop the draw buffer and rewind the generator past the draws
+        never consumed, leaving exactly the state scalar draws would have.
+
+        The trace walk calls this when it finishes, so a walked trace does
+        not keep a block of spare draws alive for its whole lifetime.
+        """
+        self._rng.advance(self._pos - len(self._buf))
+        self._buf = []
+        self._pos = 0
+        self._limit = -_MAX_DRAWS
 
     # -- cache pre-warming ---------------------------------------------------
 

@@ -119,7 +119,7 @@ def _encode(trace: SyntheticTrace) -> bytes:
     """Serialize a trace to the version-1 artifact byte string."""
     parts: list[bytes] = []
     for typecode, field in _FIELDS:
-        arr = array(typecode, [int(v) for v in getattr(trace, field)])
+        arr = array(typecode, getattr(trace, field))
         if sys.byteorder != "little":  # pragma: no cover - exotic hosts
             arr.byteswap()
         parts.append(arr.tobytes())

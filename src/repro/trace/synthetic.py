@@ -20,7 +20,7 @@ from repro.isa.registers import REG_NONE
 from repro.trace.address_space import CODE_OFFSET, LINE_BYTES, AddressSpace, set_stagger
 from repro.trace.codegen import INSTR_BYTES, CodeLayout
 from repro.trace.profiles import BenchmarkProfile
-from repro.utils.rng import SplitMix64, derive_seed
+from repro.utils.rng import SplitMix64, derive_seed, u53_threshold
 
 if TYPE_CHECKING:
     from repro.trace.artifact import TraceArtifactCache
@@ -35,6 +35,11 @@ __all__ = [
 ]
 
 _MAX_CALL_DEPTH = 64
+#: Raw draws fetched per refill of the walk's draw buffer.
+_BLOCK = 4096
+#: Most draws one record consumes (a load: op, base-register choice, source,
+#: destination, load-use; a conditional branch: two countdowns, source).
+_MAX_DRAWS_PER_RECORD = 5
 
 
 class SyntheticTrace:
@@ -157,8 +162,18 @@ class SyntheticTrace:
     # ------------------------------------------------------------------
 
     def _walk(self, rng: SplitMix64, aspace: AddressSpace) -> None:
+        """Emit ``self.length`` records by walking the CFG.
+
+        Random numbers come from ``rng`` in blocks (:meth:`SplitMix64.block`)
+        and are read by index, in exactly the order scalar ``next_u64`` calls
+        would produce them: ``next_float() < x`` becomes the equivalent
+        integer test ``draw >> 11 < u53_threshold(x)`` and ``next_below(n)``
+        becomes ``draw % n``. When the walk ends, both generators are wound
+        back to the draws actually consumed.
+        """
         layout = self.layout
         blocks = layout.blocks
+        n_blocks = len(blocks)
         length = self.length
         profile = self.profile
 
@@ -171,6 +186,8 @@ class SyntheticTrace:
         brkind_l = self.brkind
         taken_l = self.taken
         target_l = self.target
+        load_address = aspace.load_address
+        store_address = aspace.store_address
 
         # Body op mix, renormalized with branches excluded (the terminal
         # branch of each block supplies branch_frac; bodies carry the rest).
@@ -178,24 +195,32 @@ class SyntheticTrace:
         cum_load = profile.load_frac / non_branch
         cum_store = cum_load + profile.store_frac / non_branch
         cum_fp = cum_store + profile.fp_frac / non_branch
+        t_load = u53_threshold(cum_load)
+        t_store = u53_threshold(cum_store)
+        t_fp = u53_threshold(cum_fp)
+        t_half = u53_threshold(0.5)
 
         op_load = int(OpClass.LOAD)
         op_store = int(OpClass.STORE)
         op_fp = int(OpClass.FP)
         op_int = int(OpClass.INT)
+        op_branch = int(OpClass.BRANCH)
         brk_none = int(BranchKind.NONE)
+        brk_cond = int(BranchKind.COND)
+        brk_jump = int(BranchKind.JUMP)
+        brk_call = int(BranchKind.CALL)
 
         # Dataflow state: sources come from recently-written registers; the
         # window size controls the dependency-chain tightness (ILP).
         recent_dests: list[int] = []
         dep_cap = profile.dep_window
-        load_use_frac = profile.load_use_frac
-        load_indep_frac = profile.load_indep_frac
+        t_use = u53_threshold(profile.load_use_frac)
+        t_indep = u53_threshold(profile.load_indep_frac)
         force_src = REG_NONE
 
         # Duplicate benchmark instances start the walk elsewhere, the
         # analogue of the paper shifting second instances by 1M instructions.
-        block = blocks[(self.instance * 7919) % len(blocks)]
+        block = blocks[(self.instance * 7919) % n_blocks]
         call_stack: list[int] = []  # fall-through *block indices*
         # Per-branch loop countdowns: strongly-biased conditionals behave as
         # loop branches (N majority outcomes, then one minority, with +-1
@@ -204,121 +229,149 @@ class SyntheticTrace:
         # real SPECINT levels.
         cond_state: dict[int, int] = {}
 
+        buf: list[int] = []
+        pos = 0
         emitted = 0
         while emitted < length:
+            n_body = min(block.body_len, length - emitted)
+            # One refill check per block: every record draws at most
+            # _MAX_DRAWS_PER_RECORD numbers.
+            if pos + (n_body + 1) * _MAX_DRAWS_PER_RECORD > len(buf):
+                buf = buf[pos:] + rng.block(_BLOCK)
+                pos = 0
             bpc = block.pc
-            for off in range(block.body_len):
-                if emitted >= length:
-                    return
-                u = rng.next_float()
-                if u < cum_load:
-                    op = op_load
-                elif u < cum_store:
-                    op = op_store
-                elif u < cum_fp:
-                    op = op_fp
-                else:
-                    op = op_int
-
-                if op == op_load and rng.next_float() < load_indep_frac:
-                    # Address from a long-lived base register (28..30 are
-                    # never destinations): the load is ready at dispatch, so
-                    # its miss can overlap earlier misses (MLP).
-                    src1 = 28 + rng.next_below(3)
-                    if force_src != REG_NONE:
-                        force_src = REG_NONE  # consumer folded into the load
-                elif force_src != REG_NONE:
-                    src1 = force_src
-                    force_src = REG_NONE
-                elif recent_dests:
-                    src1 = recent_dests[rng.next_below(len(recent_dests))]
-                else:
-                    src1 = rng.next_below(28)
-                if op != op_load and recent_dests and rng.next_float() < 0.5:
-                    src2 = recent_dests[rng.next_below(len(recent_dests))]
-                else:
-                    src2 = REG_NONE
-
-                if op == op_store:
-                    dest = REG_NONE
-                    addr = aspace.store_address()
-                elif op == op_load:
-                    dest = rng.next_below(28)
-                    addr = aspace.load_address()
-                elif op == op_fp:
-                    dest = 32 + rng.next_below(28)
-                    addr = 0
-                else:
-                    dest = rng.next_below(28)
-                    addr = 0
-
-                pc_l.append(bpc + off * INSTR_BYTES)
-                op_l.append(op)
-                dest_l.append(dest)
-                src1_l.append(src1)
-                src2_l.append(src2)
-                addr_l.append(addr)
-                brkind_l.append(brk_none)
-                taken_l.append(False)
-                target_l.append(0)
-                emitted += 1
-
-                if dest != REG_NONE:
+            for _ in range(n_body):
+                k = buf[pos] >> 11
+                if k < t_load:
+                    if buf[pos + 1] >> 11 < t_indep:
+                        # Address from a long-lived base register (28..30 are
+                        # never destinations): the load is ready at dispatch,
+                        # so its miss can overlap earlier misses (MLP).
+                        src1 = 28 + buf[pos + 2] % 3
+                        force_src = REG_NONE  # a pending consumer folds in
+                        pos += 3
+                    elif force_src != REG_NONE:
+                        src1 = force_src
+                        force_src = REG_NONE
+                        pos += 2
+                    elif recent_dests:
+                        src1 = recent_dests[buf[pos + 2] % len(recent_dests)]
+                        pos += 3
+                    else:
+                        src1 = buf[pos + 2] % 28
+                        pos += 3
+                    dest = buf[pos] % 28
+                    op_l.append(op_load)
+                    dest_l.append(dest)
+                    src1_l.append(src1)
+                    src2_l.append(REG_NONE)
+                    addr_l.append(load_address())
                     recent_dests.append(dest)
                     if len(recent_dests) > dep_cap:
                         recent_dests.pop(0)
-                if op == op_load and rng.next_float() < load_use_frac:
-                    force_src = dest
+                    if buf[pos + 1] >> 11 < t_use:
+                        force_src = dest
+                    pos += 2
+                else:
+                    pos += 1
+                    if force_src != REG_NONE:
+                        src1 = force_src
+                        force_src = REG_NONE
+                    elif recent_dests:
+                        src1 = recent_dests[buf[pos] % len(recent_dests)]
+                        pos += 1
+                    else:
+                        src1 = buf[pos] % 28
+                        pos += 1
+                    if recent_dests:
+                        if buf[pos] >> 11 < t_half:
+                            src2 = recent_dests[buf[pos + 1] % len(recent_dests)]
+                            pos += 2
+                        else:
+                            src2 = REG_NONE
+                            pos += 1
+                    else:
+                        src2 = REG_NONE
+                    src1_l.append(src1)
+                    src2_l.append(src2)
+                    if k < t_store:
+                        op_l.append(op_store)
+                        dest_l.append(REG_NONE)
+                        addr_l.append(store_address())
+                    else:
+                        if k < t_fp:
+                            op_l.append(op_fp)
+                            dest = 32 + buf[pos] % 28
+                        else:
+                            op_l.append(op_int)
+                            dest = buf[pos] % 28
+                        pos += 1
+                        dest_l.append(dest)
+                        addr_l.append(0)
+                        recent_dests.append(dest)
+                        if len(recent_dests) > dep_cap:
+                            recent_dests.pop(0)
+            pc_l.extend(range(bpc, bpc + n_body * INSTR_BYTES, INSTR_BYTES))
+            brkind_l.extend([brk_none] * n_body)
+            taken_l.extend([False] * n_body)
+            target_l.extend([0] * n_body)
+            emitted += n_body
             if emitted >= length:
-                return
+                break
 
             # Terminal branch of the block.
             brkind = block.brkind
             fall_idx = layout.fallthrough_block(block.index)
-            if brkind == BranchKind.COND:
+            if brkind == brk_cond:
                 bias = block.bias
                 if 0.25 <= bias <= 0.75:
                     # Genuinely data-dependent branch: unpredictable.
-                    taken = rng.next_float() < bias
+                    taken = buf[pos] >> 11 < u53_threshold(bias)
+                    pos += 1
                 else:
                     major_is_taken = bias > 0.5
                     p_major = bias if major_is_taken else 1.0 - bias
                     period = max(1, round(p_major / (1.0 - p_major)))
-                    k = cond_state.get(block.index)
-                    if k is None:
-                        k = period + rng.next_below(3) - 1
-                    if k > 0:
-                        cond_state[block.index] = k - 1
+                    left = cond_state.get(block.index, -1)
+                    if left < 0:
+                        left = period + buf[pos] % 3 - 1
+                        pos += 1
+                    if left > 0:
+                        cond_state[block.index] = left - 1
                         taken = major_is_taken
                     else:
-                        cond_state[block.index] = period + rng.next_below(3) - 1
+                        cond_state[block.index] = period + buf[pos] % 3 - 1
+                        pos += 1
                         taken = not major_is_taken
                 next_idx = block.taken_index if taken else fall_idx
-            elif brkind == BranchKind.JUMP:
-                taken, next_idx = True, block.taken_index
-            elif brkind == BranchKind.CALL:
-                taken, next_idx = True, block.taken_index
-                if len(call_stack) < _MAX_CALL_DEPTH:
-                    call_stack.append(fall_idx)
-            else:  # RET
+                src1 = buf[pos] % 28
+                pos += 1
+            else:
                 taken = True
-                if call_stack:
+                src1 = REG_NONE
+                if brkind == brk_jump:
+                    next_idx = block.taken_index
+                elif brkind == brk_call:
+                    next_idx = block.taken_index
+                    if len(call_stack) < _MAX_CALL_DEPTH:
+                        call_stack.append(fall_idx)
+                elif call_stack:  # RET
                     next_idx = call_stack.pop()
                 else:
                     # Underflowed stack: emit this instance as a plain jump to
                     # the block's static fallback target. Mixing dynamic
                     # (popped) and static targets under one RET pc would
                     # desynchronize the RAS and poison the BTB entry.
-                    brkind = BranchKind.JUMP
+                    brkind = brk_jump
                     next_idx = block.taken_index
 
             next_block = blocks[next_idx]
             pc_l.append(block.branch_pc)
-            op_l.append(int(OpClass.BRANCH))
+            op_l.append(op_branch)
             # Conditional branches read a recently-computed value; calls
             # write the link register (arch reg 31 by convention).
-            dest_l.append(31 if brkind == BranchKind.CALL else REG_NONE)
-            src1_l.append(rng.next_below(28) if brkind == BranchKind.COND else REG_NONE)
+            dest_l.append(31 if brkind == brk_call else REG_NONE)
+            src1_l.append(src1)
             src2_l.append(REG_NONE)
             addr_l.append(0)
             brkind_l.append(brkind)
@@ -326,6 +379,9 @@ class SyntheticTrace:
             target_l.append(next_block.pc if taken else block.fallthrough_pc)
             emitted += 1
             block = next_block
+
+        rng.advance(pos - len(buf))
+        aspace.release_draws()
 
     def _patch_wrap(self) -> None:
         """Rewrite the final record as a jump to index 0 so the trace wraps."""

@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.utils.rng import SplitMix64, derive_seed, stable_hash64
+from repro.utils.rng import SplitMix64, derive_seed, stable_hash64, u53_threshold
 
 
 class TestStableHash64:
@@ -27,7 +28,7 @@ class TestStableHash64:
         assert stable_hash64(-1) != stable_hash64(1)
 
     def test_result_is_64_bit(self):
-        for parts in [("x",), (2**80,), ("a", "b", "c")]:
+        for parts in [("x",), (2**80,), (2**127,), (-(2**200),), ("a", "b", "c")]:
             h = stable_hash64(*parts)
             assert 0 <= h < 2**64
 
@@ -89,3 +90,64 @@ class TestSplitMix64:
         rng = SplitMix64(seed)
         for _ in range(5):
             assert 0 <= rng.next_u64() < 2**64
+
+
+def _scalar(seed: int, n: int) -> tuple[list[int], int]:
+    rng = SplitMix64(seed)
+    out = [rng.next_u64() for _ in range(n)]
+    return out, rng._state
+
+
+class TestSplitMix64Block:
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1, 0x9E3779B97F4A7C15, 12345])
+    @pytest.mark.parametrize("n", [1, 2, 3, 64, 4096])
+    def test_equals_scalar_draws(self, seed, n):
+        rng = SplitMix64(seed)
+        assert (rng.block(n), rng._state) == _scalar(seed, n)
+
+    def test_block_zero_is_empty_and_keeps_state(self):
+        rng = SplitMix64(42)
+        assert rng.block(0) == []
+        assert rng._state == 42
+        assert rng.next_u64() == SplitMix64(42).next_u64()
+
+    def test_consecutive_blocks_continue_the_stream(self):
+        # Block boundaries are invisible: mixed block sizes and scalar
+        # calls interleave into one stream.
+        rng = SplitMix64(2**64 - 1)
+        out = rng.block(5) + [rng.next_u64()] + rng.block(4096) + rng.block(7)
+        assert (out, rng._state) == _scalar(2**64 - 1, 5 + 1 + 4096 + 7)
+
+    def test_advance_back_returns_unconsumed_draws(self):
+        rng = SplitMix64(9)
+        head = rng.block(100)[:30]
+        rng.advance(30 - 100)
+        assert head + [rng.next_u64()] == _scalar(9, 31)[0]
+
+    @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        st.integers(min_value=0, max_value=2**64 - 1),
+        st.lists(st.integers(min_value=0, max_value=300), max_size=4),
+    )
+    def test_property_blocks_equal_scalar(self, seed, sizes):
+        rng = SplitMix64(seed)
+        out = [v for n in sizes for v in rng.block(n)]
+        assert (out, rng._state) == _scalar(seed, sum(sizes))
+
+
+class TestU53Threshold:
+    @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        st.floats(min_value=0.0, max_value=1.0),
+        st.integers(min_value=0, max_value=2**64 - 1),
+    )
+    def test_property_matches_next_float(self, x, seed):
+        t = u53_threshold(x)
+        floats = SplitMix64(seed)
+        for raw in SplitMix64(seed).block(8):
+            assert ((raw >> 11) < t) == (floats.next_float() < x)
+        # The boundary itself: k = T-1 passes, k = T does not.
+        scale = 1.0 / (1 << 53)
+        for k in (t - 1, t):
+            if 0 <= k < 1 << 53:
+                assert (k < t) == (k * scale < x)
