@@ -375,13 +375,15 @@ class ExperimentRunner:
         if not self.cache_dir:
             return None
         path = self._disk_path(key)
-        if not path.exists():
+        try:  # a missing file is a miss
+            raw = path.read_bytes()
+        except FileNotFoundError:
             return None
         try:
-            data = json.loads(path.read_text())
+            data = json.loads(raw)
             data["benchmarks"] = tuple(data["benchmarks"])
             return SimResult(**data)
-        except (json.JSONDecodeError, TypeError, KeyError):  # corrupt cache
+        except (ValueError, TypeError, KeyError):  # corrupt cache (bad JSON or bytes)
             path.unlink(missing_ok=True)
             return None
 

@@ -29,6 +29,7 @@ from __future__ import annotations
 import base64
 import binascii
 import dataclasses
+import functools
 import json
 import math
 import time
@@ -197,6 +198,12 @@ class JobSpec:
 
     def cache_key(self) -> str:
         """Stable dedup/store key for this spec (hex, 16 chars)."""
+        return self._cache_key
+
+    @functools.cached_property
+    def _cache_key(self) -> str:
+        # The spec is frozen, so the key is serialized and hashed once, not
+        # on every store lookup, enqueue and status payload.
         return f"{stable_hash64(PROTOCOL_VERSION, self.canonical_json()):016x}"
 
     def group_key(self) -> tuple:

@@ -29,8 +29,21 @@ _FNV_PRIME = 0x100000001B3
 def stable_hash64(*parts: object) -> int:
     """Hash an arbitrary tuple of ints/strings to a stable 64-bit value.
 
-    Uses FNV-1a over the UTF-8/decimal rendering of each part, which is stable
-    across processes and Python versions (unlike built-in ``hash``).
+    FNV-1a over each part's bytes (ints as 16-byte little-endian two's
+    complement, wider ones in as many bytes as needed; anything else as the
+    UTF-8 of its ``str``), each part followed by a 0xFF separator. Stable
+    across processes and Python versions, unlike built-in ``hash``.
+
+    Two exact shortcuts keep cache keys cheap; the value is the plain
+    byte-at-a-time FNV-1a for every input:
+
+    * a zero byte folds as ``h = h * P`` (``h ^ 0 == h``), so a run of
+      ``k`` trailing zero bytes — most of a small int's framing — is one
+      multiply by ``P**k mod 2**64``;
+    * parts of at least ``_LONG_PART`` bytes (a machine or profile
+      ``repr`` inside a cache key) fold through a bounded memo keyed on
+      the pair (incoming state, bytes), so the same long part after a
+      different prefix is folded afresh, never reused.
     """
     h = _FNV_OFFSET
     for part in parts:
@@ -41,14 +54,34 @@ def stable_hash64(*parts: object) -> int:
                 data = part.to_bytes(part.bit_length() // 8 + 1, "little", signed=True)
         else:
             data = str(part).encode("utf-8")
-        for byte in data:
-            h ^= byte
-            h = (h * _FNV_PRIME) & _MASK64
-        # Part separator (0xFF never appears in UTF-8 and breaks the
-        # 16-byte int framing): ("a","b") must differ from ("ab",).
-        h ^= 0xFF
-        h = (h * _FNV_PRIME) & _MASK64
+        h = _fold_long(h, data) if len(data) >= _LONG_PART else _fold(h, data)
     return h
+
+
+def _fold(h: int, data: bytes) -> int:
+    """The FNV-1a state ``h`` after one part's bytes and its separator."""
+    body = data.rstrip(b"\0")
+    for byte in body:
+        h = ((h ^ byte) * _FNV_PRIME) & _MASK64
+    zeros = len(data) - len(body)
+    if zeros:  # each zero byte folds as h = h * P
+        if zeros < len(_PRIME_POWS):
+            h = (h * _PRIME_POWS[zeros]) & _MASK64
+        else:
+            h = (h * pow(_FNV_PRIME, zeros, 1 << 64)) & _MASK64
+    # Part separator (0xFF never appears in UTF-8 and breaks the
+    # 16-byte int framing): ("a","b") must differ from ("ab",).
+    return ((h ^ 0xFF) * _FNV_PRIME) & _MASK64
+
+
+#: ``P**k mod 2**64`` for the zero runs a 16-byte int framing can end in
+#: (a table: a three-argument ``pow`` costs more than folding a few bytes).
+_PRIME_POWS = tuple(pow(_FNV_PRIME, k, 1 << 64) for k in range(17))
+#: Parts this long (config reprs, not names or numbers) go through the memo.
+#: Short parts are cheap to fold and often unique per call; memoizing them
+#: would only evict the long, constant ones.
+_LONG_PART = 64
+_fold_long = lru_cache(maxsize=256)(_fold)
 
 
 def derive_seed(master: int, *scope: object) -> int:

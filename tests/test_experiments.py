@@ -52,6 +52,19 @@ class TestRunnerCaching:
         assert fresh.simulations_run == 1
         assert res.policy == "icount"
 
+    @pytest.mark.parametrize("junk", [b"\xff\xfe\x00\x81garbage", b"null", b"[1, 2]", b""])
+    def test_undecodable_disk_cache_is_a_miss(self, runner, tmp_path, junk):
+        runner.run("2-MIX", "icount")
+        for f in tmp_path.glob("*.json"):
+            f.write_bytes(junk)
+        fresh = ExperimentRunner("baseline", TINY, cache_dir=tmp_path)
+        assert fresh.cached_result("2-MIX", "icount") is None
+        assert not list(tmp_path.glob("*.json"))  # the corrupt file is dropped
+
+    def test_missing_disk_cache_is_a_miss(self, tmp_path):
+        fresh = ExperimentRunner("baseline", TINY, cache_dir=tmp_path / "empty")
+        assert fresh.cached_result("2-MIX", "icount") is None
+
     def test_single_benchmark_runs(self, runner):
         res = runner.run_single("gzip")
         assert res.benchmarks == ("gzip",)

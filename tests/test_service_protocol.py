@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import pickle
 
 import pytest
 from hypothesis import given
@@ -98,6 +99,42 @@ class TestCanonicalization:
         c = JobSpec.from_dict({"workload": "2-MIX", "policy": "dwarn", "seed": 1})
         assert a.group_key() == b.group_key()
         assert a.group_key() != c.group_key()
+
+
+class TestCachedKey:
+    """The key is computed once per frozen spec; caching it changes none
+    of the spec's observable forms."""
+
+    SPEC = {"workload": "2-MIX", "policy": "meta-w256-h2", "seed": 7, "trace_length": 6000}
+
+    def test_key_cached_forms_unchanged(self):
+        fresh = JobSpec.from_dict(self.SPEC)
+        keyed = JobSpec.from_dict(self.SPEC)
+        key = keyed.cache_key()
+        assert keyed.cache_key() is key
+        assert keyed == fresh and hash(keyed) == hash(fresh)
+        assert keyed.to_dict() == fresh.to_dict() == dataclasses.asdict(fresh)
+        assert "_cache_key" not in keyed.to_dict()
+        assert keyed.canonical_json() == fresh.canonical_json()
+        assert repr(keyed) == repr(fresh)
+        assert key == fresh.cache_key()
+
+    def test_pickle_round_trip(self):
+        for touch in (False, True):
+            spec = JobSpec.from_dict(self.SPEC)
+            if touch:
+                spec.cache_key()
+            back = pickle.loads(pickle.dumps(spec))
+            assert back == spec
+            assert back.to_dict() == spec.to_dict()
+            assert back.canonical_json() == spec.canonical_json()
+            assert back.cache_key() == spec.cache_key()
+
+    def test_replace_rekeys(self):
+        spec = JobSpec.from_dict(self.SPEC)
+        other = dataclasses.replace(spec, seed=8)
+        assert spec.cache_key() != other.cache_key()
+        assert other.cache_key() == JobSpec.from_dict({**self.SPEC, "seed": 8}).cache_key()
 
 
 class TestValidation:

@@ -5,7 +5,41 @@ from __future__ import annotations
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.utils import rng
 from repro.utils.rng import SplitMix64, derive_seed, stable_hash64, u53_threshold
+
+
+def _fnv1a_reference(*parts: object) -> int:
+    """Plain byte-at-a-time FNV-1a: what ``stable_hash64`` must equal."""
+    h = 0xCBF29CE484222325
+    for part in parts:
+        if isinstance(part, int):
+            n = 16 if -(2**127) <= part < 2**127 else part.bit_length() // 8 + 1
+            data = part.to_bytes(n, "little", signed=True)
+        else:
+            data = str(part).encode("utf-8")
+        for byte in data + b"\xff":  # each part ends in a 0xFF separator
+            h = ((h ^ byte) * 0x100000001B3) % 2**64
+    return h
+
+
+#: Literal FNV-1a values: ints (the 16-byte framing and the wider-than-128-bit
+#: path), strings (empty, non-ASCII, longer than 256 bytes) and tuples.
+_PINS = [
+    ((0,), 0x4DFA81FFD1F7F1AE),
+    ((-1,), 0xE7CF8839621E58DE),
+    ((6000,), 0xDD457E9CE63F1DD5),
+    ((2**64 - 1,), 0x67DE06751DBE7CC6),
+    ((2**127,), 0x232BB6AF53B895A0),
+    ((-(2**200),), 0x74EDE9A880703BCD),
+    (("",), 0xAF64724C8602EB6E),
+    (("héllo→ü",), 0xAAC4AA793B9926A2),
+    (("x" * 300,), 0x1E68A55BFF098FDE),
+    ((12345, "trace", "mcf", 0), 0x15122D753D2BFB69),
+    (("a", "b"), 0xD2B371819297F98A),
+    (("ab",), 0xE7202E190542452F),
+    ((1, "a", -7, "z" * 257, 2**64), 0xA4D8EDD67FD0329B),
+]
 
 
 class TestStableHash64:
@@ -18,11 +52,10 @@ class TestStableHash64:
         assert stable_hash64("a", "b") != stable_hash64("ab")
 
     def test_known_value_stability(self):
-        # Pin a value so accidental algorithm changes are caught: the whole
-        # reproduction's determinism contract hangs off this function.
-        assert stable_hash64(12345, "trace", "mcf", 0) == stable_hash64(
-            12345, "trace", "mcf", 0
-        )
+        # Literal pins: every cache key, artifact name and seed in the
+        # reproduction hangs off these exact values.
+        for parts, expected in _PINS:
+            assert stable_hash64(*parts) == expected, parts
 
     def test_negative_ints_supported(self):
         assert stable_hash64(-1) != stable_hash64(1)
@@ -38,6 +71,58 @@ class TestStableHash64:
         assert stable_hash64(*parts) == stable_hash64(*parts)
 
 
+_part = st.one_of(
+    st.integers(),
+    st.integers(min_value=-(2**300), max_value=2**300),
+    st.text(),
+    st.text(min_size=64),
+    st.text(alphabet="\0a", max_size=40),  # zero runs inside and at the end
+)
+
+
+class TestStableHash64Reference:
+    """The zero-run and long-part shortcuts are exact: the optimised hash
+    equals the plain reference on every input."""
+
+    @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(st.lists(_part, max_size=6))
+    def test_property_equals_reference(self, parts):
+        assert stable_hash64(*parts) == _fnv1a_reference(*parts)
+
+    @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(st.text(min_size=64), st.lists(_part, max_size=3), st.lists(_part, max_size=3))
+    def test_property_long_part_after_different_prefixes(self, long, pre_a, pre_b):
+        # The memo is keyed on the incoming state: the same long part after
+        # another prefix must be folded afresh, not reused.
+        for prefix in (pre_a, pre_b, pre_a):
+            assert stable_hash64(*prefix, long, 7) == _fnv1a_reference(*prefix, long, 7)
+
+    def test_zero_runs_of_every_length(self):
+        # Runs up to 16 use the power table; longer ones (only strings of
+        # NULs reach them) take the modular-pow path.
+        for k in range(70):
+            for parts in (("\0" * k,), ("a" + "\0" * k, 3), (1 << (8 * min(k, 15)),)):
+                assert stable_hash64(*parts) == _fnv1a_reference(*parts), (k, parts)
+
+    def test_same_long_part_distinct_prefixes_differ(self):
+        long = "m" * 1000
+        a, b = stable_hash64("x", long), stable_hash64("y", long)
+        assert (a, b) == (_fnv1a_reference("x", long), _fnv1a_reference("y", long))
+        assert a != b
+
+    def test_memo_overflow(self):
+        n = rng._fold_long.cache_info().maxsize + 16
+        longs = [f"{i:04d}" + "L" * 100 for i in range(n)]
+        for _ in range(2):  # the second pass re-folds evicted parts
+            for i, long in enumerate(longs):
+                assert stable_hash64(i, long) == _fnv1a_reference(i, long)
+        assert rng._fold_long.cache_info().currsize <= rng._fold_long.cache_info().maxsize
+
+    def test_pins_match_reference(self):
+        for parts, expected in _PINS:
+            assert _fnv1a_reference(*parts) == expected, parts
+
+
 class TestDeriveSeed:
     def test_scopes_differ(self):
         s = 42
@@ -50,6 +135,60 @@ class TestDeriveSeed:
     def test_numpy_friendly_range(self):
         for i in range(50):
             assert 0 <= derive_seed(i, "scope", i) < 2**31
+
+
+class TestGoldenKeys:
+    """Every content-addressed name in the repo, pinned to a literal: a
+    change here strands existing result caches, trace artifacts and
+    service stores."""
+
+    def test_derive_seed(self):
+        assert derive_seed(12345, "walk", "mcf", 0) == 1951677991
+
+    def test_result_cache_key(self):
+        from repro.config import SimulationConfig
+        from repro.experiments.runner import ExperimentRunner
+
+        simcfg = SimulationConfig(warmup_cycles=1000, measure_cycles=6000, trace_length=30000)
+        runner = ExperimentRunner("baseline", simcfg)
+        assert runner._key("4-MIX", "dwarn") == "baseline-4-MIX-dwarn-778e8757c269ff8d"
+
+    def test_job_spec_cache_key(self):
+        from repro.service.protocol import JobSpec
+
+        spec = JobSpec.from_dict(
+            {"workload": "2-MIX", "policy": "dwarn", "seed": 0,
+             "warmup_cycles": 200, "measure_cycles": 1200, "trace_length": 6000}
+        )
+        assert spec.cache_key() == "cddd12c2ed62f5d4"
+
+    def test_trace_artifact_filename(self, tmp_path):
+        from repro.trace.artifact import TraceArtifactCache
+        from repro.trace.profiles import get_profile
+
+        path = TraceArtifactCache(tmp_path).path_for(
+            get_profile("mcf"), 30000, 0x10000000, 12345, 0
+        )
+        assert path.name == "mcf-l30000-i0-b7684313b0e345f1.dwtrace"
+
+    def test_wrong_path_records(self):
+        from repro.trace.profiles import get_profile
+        from repro.trace.wrongpath import WrongPathSupplier
+
+        seed = derive_seed(12345, "wrongpath", "mcf", 0)
+        wp = WrongPathSupplier(get_profile("mcf"), 0x10000000, seed)
+        assert [wp.supply(0x400000 + 4 * i) for i in range(10)] == [
+            (0, 22, 23, 20, 0, 0, False, 0),
+            (2, 24, 19, -1, 268436864, 0, False, 0),
+            (2, 7, 27, -1, 268436544, 0, False, 0),
+            (2, 21, 26, -1, 268436288, 0, False, 0),
+            (4, -1, 3, -1, 0, 1, False, 4194324),
+            (0, 17, 0, 26, 0, 0, False, 0),
+            (2, 0, 7, -1, 268435456, 0, False, 0),
+            (2, 2, 4, -1, 1208181568, 0, False, 0),
+            (2, 8, 30, -1, 1208179392, 0, False, 0),
+            (4, -1, 27, -1, 0, 1, False, 4194344),
+        ]
 
 
 class TestSplitMix64:
