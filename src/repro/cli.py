@@ -165,16 +165,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="write a sweep-observability manifest (per-pair timing/retries/"
         "cache hits) as JSON",
     )
-    p_rep.add_argument(
-        "--backend", choices=("process", "vec"), default="process",
-        help="sweep engine: process pool, or the in-process lockstep "
-        "vectorized batch backend (bit-identical results)",
-    )
-    p_rep.add_argument(
-        "--vec-kernel", choices=("auto", "array", "lane"), default="auto",
-        help="vec-backend stepping engine: auto (array when numpy is "
-        "present), the array-stepped kernel, or per-lane stepping",
-    )
 
     p_cache = sub.add_parser(
         "cache", help="inspect or wipe the result/trace caches"
@@ -218,16 +208,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_srv.add_argument(
         "--retries", type=int, default=1,
         help="per-pair retries inside a batch (default: 1)",
-    )
-    p_srv.add_argument(
-        "--backend", choices=("process", "vec"), default="process",
-        help="batch engine: process pool, or the in-process lockstep "
-        "vectorized batch backend (bit-identical results)",
-    )
-    p_srv.add_argument(
-        "--vec-kernel", choices=("auto", "array", "lane"), default="auto",
-        help="vec-backend stepping engine: auto (array when numpy is "
-        "present), the array-stepped kernel, or per-lane stepping",
     )
     p_srv.add_argument(
         "--store", default=".cache/service/results.jsonl", metavar="PATH",
@@ -286,16 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_wrk.add_argument(
         "--retries", type=int, default=1,
         help="per-pair retries inside a leased batch (default: 1)",
-    )
-    p_wrk.add_argument(
-        "--backend", choices=("process", "vec"), default="process",
-        help="batch engine: process pool, or the in-process lockstep "
-        "vectorized batch backend (bit-identical results)",
-    )
-    p_wrk.add_argument(
-        "--vec-kernel", choices=("auto", "array", "lane"), default="auto",
-        help="vec-backend stepping engine: auto (array when numpy is "
-        "present), the array-stepped kernel, or per-lane stepping",
     )
     p_wrk.add_argument(
         "--trace-cache", default=None, metavar="DIR",
@@ -364,14 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_rt.add_argument(
         "--processes", type=int, default=1,
         help="worker processes per supervised shard batch (default: 1)",
-    )
-    p_rt.add_argument(
-        "--backend", choices=("process", "vec"), default="process",
-        help="batch engine for supervised shards",
-    )
-    p_rt.add_argument(
-        "--vec-kernel", choices=("auto", "array", "lane"), default="auto",
-        help="vec-backend stepping engine for supervised shards",
     )
     p_rt.add_argument(
         "--lease-ttl", type=float, default=15.0, metavar="SECS",
@@ -785,8 +747,6 @@ def _serve_command(args: argparse.Namespace) -> int:
         batch_max=args.batch_max,
         processes=args.processes,
         retries=args.retries,
-        backend=args.backend,
-        vec_kernel=args.vec_kernel,
         ttl=args.ttl,
         store_path=args.store or None,
         cache_dir=args.cache_dir or None,
@@ -814,8 +774,6 @@ def _worker_command(args: argparse.Namespace) -> int:
         capacity=args.capacity,
         poll_interval=args.poll_interval,
         retries=args.retries,
-        backend=args.backend,
-        vec_kernel=args.vec_kernel,
         trace_cache_dir=trace_dir,
         checkpoint_interval=args.checkpoint_interval,
         max_leases=args.max_leases,
@@ -831,8 +789,6 @@ def _route_command(args: argparse.Namespace) -> int:
         "--queue-capacity", str(args.queue_capacity),
         "--batch-max", str(args.batch_max),
         "--processes", str(args.processes),
-        "--backend", args.backend,
-        "--vec-kernel", args.vec_kernel,
         "--lease-ttl", str(args.lease_ttl),
     ]
     cfg = RouterConfig(
@@ -965,7 +921,7 @@ def main(argv: list[str] | None = None) -> int:
             from repro.obs import RunManifest
 
             manifest = RunManifest(label="report")
-        if args.parallel > 1 or args.backend == "vec":
+        if args.parallel > 1:
             from repro.experiments import (
                 ext_seeds,
                 prefetch,
@@ -989,8 +945,6 @@ def main(argv: list[str] | None = None) -> int:
                     progress=progress,
                     manifest=manifest,
                     sweep=machine,
-                    backend=args.backend,
-                    vec_kernel=args.vec_kernel,
                 )
                 print(
                     f"[prefetch] {machine}: {n} simulations "
@@ -1011,8 +965,6 @@ def main(argv: list[str] | None = None) -> int:
                 args.parallel,
                 progress=seed_progress,
                 manifest=manifest,
-                backend=args.backend,
-                vec_kernel=args.vec_kernel,
             )
             print(
                 f"[prefetch] seed sweep: {n} simulations "

@@ -69,11 +69,9 @@ __all__ = [
     "SNAPSHOT_VERSION",
     "ColumnarState",
     "SnapshotError",
-    "capture_warm_hierarchy",
     "checkpoint_from_bytes",
     "checkpoint_to_bytes",
     "peek_checkpoint",
-    "restore_warm_hierarchy",
     "run_checkpointed",
 ]
 
@@ -875,8 +873,6 @@ def run_checkpointed(
     sim: "Simulator",
     interval: int,
     on_checkpoint: Callable[["Simulator"], object],
-    *,
-    skip_idle: bool = False,
 ) -> "SimResult":
     """Run ``sim`` to completion, pausing every ``interval`` cycles.
 
@@ -891,10 +887,8 @@ def run_checkpointed(
     Works mid-run: a simulator freshly restored via
     :meth:`ColumnarState.restore_into` continues from its captured cycle
     (the pending meta-policy ``EV_CALL`` interval boundaries ride in the
-    restored wheel, so the selection cadence is preserved exactly). With
-    ``skip_idle`` the chunks advance through :meth:`run_cycles_skip_idle`;
-    idle-span jumps are clamped to the chunk end, so checkpoint edges stay
-    exact. ``on_checkpoint`` exceptions propagate — callers that want
+    restored wheel, so the selection cadence is preserved exactly).
+    ``on_checkpoint`` exceptions propagate — callers that want
     fail-open capture (the service worker) wrap their callback.
     """
     if sim.obs is not None:
@@ -907,7 +901,6 @@ def run_checkpointed(
     total = simcfg.total_cycles
     warmup = simcfg.warmup_cycles
     limit = simcfg.commit_limit
-    advance = sim.run_cycles_skip_idle if skip_idle else sim.run_cycles
     while sim.cycle < total:
         cyc = sim.cycle
         if cyc == warmup:
@@ -923,7 +916,7 @@ def run_checkpointed(
             ckpt = (cyc | 63) + 1
             if ckpt < stop:
                 stop = ckpt
-        advance(stop - cyc)
+        sim.run_cycles(stop - cyc)
         if sim.cycle % interval == 0 and sim.cycle < total:
             on_checkpoint(sim)
         if (
@@ -938,34 +931,3 @@ def run_checkpointed(
                     return sim.result()
     return sim.result()
 
-
-def capture_warm_hierarchy(hier: Any) -> dict[str, Any]:
-    """Snapshot the cache/TLB content of a freshly-constructed simulator.
-
-    Pre-warming the caches (``SimulationConfig.prewarm_caches``) is a pure
-    function of ``(machine, programs)``, so one warmed hierarchy can serve
-    as a template for every sibling run over the same programs: the vec
-    batch backend (``repro.core.vec``) constructs one lane per program group
-    with pre-warm enabled, captures this template, and builds the remaining
-    lanes with pre-warm off plus :func:`restore_warm_hierarchy` — identical
-    state at a fraction of the constructor cost.
-    """
-    return {
-        "icache": _cache_state(hier.icache),
-        "dcache": _cache_state(hier.dcache),
-        "l2": _cache_state(hier.l2),
-        "dtlb_sets": [list(s) for s in hier.dtlb._sets],
-        "dtlb_accesses": hier.dtlb.accesses,
-        "dtlb_misses": hier.dtlb.misses,
-    }
-
-
-def restore_warm_hierarchy(hier: Any, state: dict[str, Any]) -> None:
-    """Overwrite ``hier``'s cache/TLB content from a template captured by
-    :func:`capture_warm_hierarchy` (see there for the cloning contract)."""
-    _restore_cache(hier.icache, state["icache"])
-    _restore_cache(hier.dcache, state["dcache"])
-    _restore_cache(hier.l2, state["l2"])
-    hier.dtlb._sets = [list(s) for s in state["dtlb_sets"]]
-    hier.dtlb.accesses = state["dtlb_accesses"]
-    hier.dtlb.misses = state["dtlb_misses"]

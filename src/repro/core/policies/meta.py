@@ -42,11 +42,10 @@ phase change that sharp costs more to ride out than to mis-switch on.
 
 Everything the meta-policy reads is deterministic simulator state, and the
 interval boundary is a scheduled ``EV_CALL`` event — a typed entry in the
-event wheel that the staged engine, the fused engine and the vec backend
-all drain identically (and that bounds idle-span jumps, because the wheel's
-next event cycle is a quiescence wake source). Decisions are therefore
-deterministic given (trace, seed, interval, hysteresis) and bit-identical
-across backends — the parity tests enforce this.
+event wheel that the staged and fused engines drain identically.
+Decisions are therefore deterministic given (trace, seed, interval,
+hysteresis) and bit-identical across engines — the parity tests enforce
+this.
 
 Sub-policy bookkeeping stays coherent across switches: *accounting* hooks
 (load fetched/executed, fills, squashes) are forwarded to every sub-policy
@@ -303,7 +302,7 @@ class MetaPolicy(GatingMixin, FetchPolicy):
                 self._streak_name = None
                 self._streak = 0
                 # The delegated ranking changed wholesale; the engines
-                # re-read order_dirty at the next fetch in all backends.
+                # re-read order_dirty at the next fetch.
                 sim.order_dirty = True
         sim.schedule_call(sim.cycle + self.interval, self._on_interval)
 

@@ -68,12 +68,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.core.policies.base import FetchPolicy
     from repro.workloads.builder import ThreadProgram
 
-__all__ = ["IDLE_FOREVER", "Simulator"]
-
-#: :meth:`Simulator.quiescent_wake` return value for a machine that is idle
-#: with *nothing* pending at all — no event can ever fire again, so a caller
-#: may jump the lane to any horizon.
-IDLE_FOREVER = 1 << 62
+__all__ = ["Simulator"]
 
 _OP_LOAD = int(OpClass.LOAD)
 _OP_STORE = int(OpClass.STORE)
@@ -155,9 +150,6 @@ class Simulator:
 
         self.cycle = 0
         self.gseq = 0
-        #: Cycles jumped over as proven-quiescent spans (see
-        #: :meth:`run_cycles_skip_idle`); 0 on the plain stepping paths.
-        self.idle_cycles_skipped = 0
         self._line_shift = self.hierarchy.line_shift
         # The decode/rename pipe is SHARED and in-order: instructions rename
         # in fetch order, and a resource-blocked instruction at the rename
@@ -346,145 +338,10 @@ class Simulator:
                 return False
         return True
 
-    # -------------------------------------------------------- quiescence
-    #
-    # A cycle is *quiescent* when executing it would change nothing but the
-    # cycle counters: no event bucket due, no latency-1 completions pending,
-    # empty ready queues, no committable ROB head, no dispatchable (or
-    # squashed) pipe head, and no thread whose fetch-ready cycle has
-    # arrived. Everything that could end such a span is driven by a known
-    # future cycle — the event wheel, the pipe head's frontend-depth
-    # deadline, a thread's fetch-ready cycle — so the span can be *skipped*
-    # wholesale instead of stepped. The array-stepped batch kernel
-    # (``repro.core.vec.kernel``) parks quiescent lanes on exactly this
-    # contract; the backend-parity gate pins it cycle-exact.
-
-    def quiescent_wake(self, cycle: int | None = None) -> int | None:
-        """Wake cycle if the machine is quiescent at ``cycle``, else None.
-
-        For a quiescent machine the return value is the earliest future
-        cycle at which anything can happen again (:data:`IDLE_FOREVER` when
-        nothing is pending at all), so ``advance_idle(wake - cycle)`` is
-        behavior-equivalent to stepping the whole span: every skipped cycle
-        would have been a no-op. The check itself is read-only.
-
-        Wake sources, and why they are exhaustive:
-
-        - the event wheel (completions, fills, declares, un-gates — every
-          latent state change is scheduled there);
-        - the pipe head's ``fetch_cycle + frontend_depth`` deadline (a
-          depth-ready but *resource-blocked* head contributes no wake:
-          queue slots, ROB room and physical registers are only freed by
-          commit/issue/squash, none of which can precede another wake);
-        - the earliest ``fetch_ready_cycle`` over the current fetch order
-          (threads outside the order — gated or counter-excluded — rejoin
-          only when a counter changes, which takes an event or a commit).
-
-        ``fetch_order`` is a pure ranking for every registry policy, so
-        computing it here mutates nothing.
-        """
-        if cycle is None:
-            cycle = self.cycle
-        if self._next_completes:
-            return None
-        ready = self.ready
-        if ready[0] or ready[1] or ready[2]:
-            return None
-        events = self.events
-        wake = events.next_cycle() if events.pending else None
-        if wake is not None and wake <= cycle:
-            return None  # an event bucket is due this very cycle
-        if wake is None:
-            wake = IDLE_FOREVER
-        threads = self.threads
-        if self._rob_total:
-            for tc in threads:
-                rob = tc.rob
-                if rob and rob[0].completed:
-                    return None  # a commit happens this cycle
-        pipe = self.pipe
-        if pipe:
-            head = pipe[0]
-            if head.squashed:
-                return None  # dispatch drains it this cycle
-            depth_ready = head.fetch_cycle + self._frontend_depth
-            if depth_ready > cycle:
-                if depth_ready < wake:
-                    wake = depth_ready
-            elif (
-                self.q_free[QUEUE_OF[head.op]] > 0
-                and len(threads[head.tid].rob) < self._rob_cap
-            ):
-                d = head.dest
-                if d < 0:
-                    return None  # dispatchable now
-                if d < 32:
-                    if self.free_int_regs > 0:
-                        return None
-                elif self.free_fp_regs > 0:
-                    return None
-        if self._pipe_cap - len(pipe) > 0:
-            if self._order_cacheable and not self.order_dirty:
-                order = self._order_cache
-            else:
-                order = self.policy.fetch_order()
-            for tid in order:
-                frc = threads[tid].fetch_ready_cycle
-                if frc <= cycle:
-                    return None  # a fetch attempt happens this cycle
-                if frc < wake:
-                    wake = frc
-        return wake
-
-    def advance_idle(self, n: int) -> None:
-        """Jump ``n`` cycles the caller has proven quiescent.
-
-        Equivalent to ``run_cycles(n)`` across a span where
-        :meth:`quiescent_wake` returned a wake ``>= self.cycle + n``:
-        nothing in the machine can change before the wake, so only the
-        cycle counters move.
-        """
-        if n <= 0:
-            return
-        self.cycle += n
-        self.stats.cycles += n
-        self.idle_cycles_skipped += n
-
-    def run_cycles_skip_idle(self, n: int) -> None:
-        """Advance exactly ``n`` cycles, jumping over quiescent spans.
-
-        Behavior-identical to :meth:`run_cycles` — the skipped cycles are
-        exactly those :meth:`quiescent_wake` proves to be no-ops — but
-        idle spans cost one jump instead of per-cycle stepping. This is
-        the array-stepped batch kernel's entry point; cycles skipped are
-        accounted in :attr:`idle_cycles_skipped`.
-        """
-        if n <= 0:
-            return
-        if self._fast_eligible():
-            self._run_fast(n, True)
-            return
-        end = self.cycle + n
-        while self.cycle < end:
-            wake = self.quiescent_wake()
-            if wake is None:
-                self._step()
-            else:
-                self.advance_idle(min(wake, end) - self.cycle)
-
     # ------------------------------------------------------------- fast loop
 
-    def _run_fast(self, n: int, skip_idle: bool = False) -> None:
+    def _run_fast(self, n: int) -> None:
         """Advance exactly ``n`` cycles through the fused fast loop.
-
-        With ``skip_idle`` set, quiescent spans are jumped in place — when
-        the machine is quiescent (see :meth:`quiescent_wake`; this is
-        :meth:`run_cycles_skip_idle`'s engine) the loop moves ``cycle``
-        straight to ``min(wake, end)`` instead of stepping the proven
-        no-op cycles one at a time. The check costs one short-circuited
-        conditional per cycle when off, and only escalates to the full
-        read-only predicate on cycles whose cheap screens (no due bucket,
-        no pending completions, empty ready queues) all pass.
 
         Semantically identical to calling :meth:`_step` ``n`` times — the
         property suite asserts cycle-for-cycle equality against the staged
@@ -649,30 +506,7 @@ class Simulator:
 
         cycle = self.cycle
         end = cycle + n
-        skip = skip_idle
-        idle_skipped = 0
         while cycle < end:
-            if (
-                skip
-                and not nc
-                and not r0
-                and not r1
-                and not r2
-                and (not events.pending or bucket_get(cycle) is None)
-            ):
-                # Candidate-idle cycle: write back the shadowed dirty flag
-                # and run the full read-only quiescence predicate. pend is
-                # always 0 at the loop top (flushed every cycle bottom).
-                # On a quiescent hit, jump straight over the proven no-op
-                # span — every skipped cycle would have executed nothing.
-                self.cycle = cycle
-                self.order_dirty = dirty
-                qwake = self.quiescent_wake(cycle)
-                if qwake is not None:
-                    qjump = qwake if qwake < end else end
-                    idle_skipped += qjump - cycle
-                    cycle = qjump
-                    continue
             self.cycle = cycle
 
             # ---- drain: wheel bucket first, then last cycle's latency-1
@@ -1410,8 +1244,6 @@ class Simulator:
         self.cycle = end
         stats.cycles += n
         self.order_dirty = dirty
-        if idle_skipped:
-            self.idle_cycles_skipped += idle_skipped
 
     def _begin_window(self) -> None:
         self.stats.snapshot()

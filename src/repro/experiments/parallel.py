@@ -363,8 +363,6 @@ def run_pairs(
     manifest: "RunManifest | None" = None,
     sweep: str = "sweep",
     seed: int | None = None,
-    backend: str = "process",
-    vec_kernel: str = "auto",
 ) -> list[tuple[str, str, SimResult]]:
     """Run pairs in a process pool; returns (workload, policy, result) in
     the order the pairs were given.
@@ -375,16 +373,6 @@ def run_pairs(
     whose simulation raises is retried ``retries`` times before the sweep
     aborts with a :class:`SweepError` naming it. ``worker`` overrides the
     simulation callable (tests inject crashing workers through this).
-
-    ``backend`` selects the execution engine: ``"process"`` (default) is
-    the pool described above; ``"vec"`` runs the whole batch in-process
-    through the lockstep :class:`~repro.core.vec.VecBatchSimulator` —
-    bit-identical results (perfguard's backend-parity gate pins this),
-    much higher throughput on many-pairs/short-run screening sweeps, and
-    a serial-path fallback (honoring ``retries``) if the batch aborts.
-    ``vec_kernel`` picks the vec backend's stepping engine (``"auto"`` |
-    ``"array"`` | ``"lane"``, see :mod:`repro.core.vec.kernel`); ignored
-    by the process backend.
 
     When ``manifest`` is given, every completed pair is recorded into it as
     ``source="simulated"`` (with its in-worker seconds and retry count,
@@ -421,31 +409,7 @@ def run_pairs(
         if progress is not None:
             progress(len(results), total, wl, pol, secs)
 
-    serial = processes is not None and processes <= 1
-    if backend == "vec":
-        # Imported here, not at module level: the vec backend pulls in numpy,
-        # which every fill worker, service shard and CLI start would pay for.
-        from repro.core.vec import VecBatchSimulator, VecLaneError
-
-        trace_cache = TraceArtifactCache(trace_cache_dir) if trace_cache_dir else None
-        try:
-            batch = VecBatchSimulator(
-                machine, simcfg, pairs, trace_cache=trace_cache, vec_kernel=vec_kernel
-            )
-            batch_results = batch.run()
-        except VecLaneError:
-            # The batch engine could not finish (one lane poisoned it at
-            # setup or mid-flight). Re-run on the serial path, which retries
-            # per pair and names the failing pair in its SweepError.
-            serial = True
-        else:
-            for i, res in enumerate(batch_results):
-                _finish(i, res, batch.lane_seconds[i], 0)
-            return [(pairs[i][0], pairs[i][1], results[i]) for i in range(total)]
-    elif backend != "process":
-        raise ValueError(f"unknown run_pairs backend {backend!r}")
-
-    if serial:
+    if processes is not None and processes <= 1:
         for i in order:
             wl, pol = pairs[i]
             attempt = 0
@@ -534,8 +498,6 @@ def prefetch(
     progress: ProgressFn | None = None,
     manifest: "RunManifest | None" = None,
     sweep: str = "prefetch",
-    backend: str = "process",
-    vec_kernel: str = "auto",
 ) -> int:
     """Fill the runner's caches for ``pairs`` using worker processes.
 
@@ -580,8 +542,6 @@ def prefetch(
         manifest=manifest,
         sweep=sweep,
         seed=seed,
-        backend=backend,
-        vec_kernel=vec_kernel,
     )
     for wl, pol, res in results:
         runner.store_result(wl, pol, res)
@@ -598,8 +558,6 @@ def prefetch_seed_sweep(
     progress: ProgressFn | None = None,
     manifest: "RunManifest | None" = None,
     sweep: str = "seeds",
-    backend: str = "process",
-    vec_kernel: str = "auto",
 ) -> int:
     """Prefetch ``pairs`` under several trace *seeds* (the ext_seeds sweep).
 
@@ -631,8 +589,6 @@ def prefetch_seed_sweep(
             progress,
             manifest=manifest,
             sweep=sweep,
-            backend=backend,
-            vec_kernel=vec_kernel,
         )
         runner.simulations_run += sub.simulations_run
     return total

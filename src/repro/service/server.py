@@ -183,8 +183,6 @@ class ServiceConfig:
     batch_max: int = 8                    # jobs fused into one run_pairs call
     processes: int = 1                    # worker processes per batch
     retries: int = 1                      # per-pair retries inside a batch
-    backend: str = "process"              # run_pairs engine: process | vec
-    vec_kernel: str = "auto"              # vec stepping engine: auto | array | lane
     ttl: float | None = None              # result-store TTL seconds
     store_path: str | None = None         # None = in-memory store
     cache_dir: str | None = None          # ExperimentRunner result cache
@@ -384,8 +382,6 @@ class SimulationService:
                 manifest=batch_manifest,
                 sweep="service",
                 seed=simcfg.seed,
-                backend=self.cfg.backend,
-                vec_kernel=self.cfg.vec_kernel,
             )
         except Exception as exc:
             for job in batch:

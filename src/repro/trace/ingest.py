@@ -9,7 +9,7 @@ trace), and a materializer that interns the file's addresses through the
 :mod:`repro.trace.address_space` region model and emits a
 :class:`~repro.trace.synthetic.SyntheticTrace`-compatible stream — so
 ingested workloads flow unchanged through ``generate_trace`` consumers,
-``run_pairs``, the vec backend and the service job specs.
+``run_pairs`` and the service job specs.
 
 File format (version 1)::
 
@@ -41,7 +41,7 @@ Two address modes:
 Named ingested workloads resolve through :func:`find_ingested` — an
 in-process registry first, then ``<ingest dir>/<name>.dwit`` where the
 ingest directory is ``$DWARN_SIM_INGEST_DIR`` or ``.cache/ingested`` —
-which is how ``build_single``/``quick_run``/the vec backend/the service
+which is how ``build_single``/``quick_run``/``run_pairs``/the service
 accept an ingested name anywhere a benchmark name is accepted.
 """
 
@@ -695,8 +695,8 @@ def materialize(
 
     The result has the exact parallel-list layout, packed records, wrap-to-
     index-0 patching, code layout and address space of a generated trace,
-    so everything downstream (simulator, columnar snapshots, vec backend)
-    runs it unchanged. Deterministic given (file contents, base, seed).
+    so everything downstream (simulator, columnar snapshots, sweeps) runs
+    it unchanged. Deterministic given (file contents, base, seed).
     """
     header = tf.header
     key = (

@@ -37,39 +37,18 @@ preset) and compares two things against a checked-in baseline file
    ``repro.trace.ingest`` frontend against validation or interning work
    creeping into the hot path.
 
-5. **Vectorized-backend throughput** — the batched screening sweep (every
-   registry policy over the 2/4-thread workload mix) through
-   ``repro.core.vec`` versus per-pair cold serial execution. The speedup
-   ratio is self-normalizing (both arms run on the same host) and has a
-   hard floor (``vec.min_speedup`` in the baseline, default 5x); the
-   batch's ``vec_cycles_per_sec`` additionally gets the usual
-   host-normalized regression check.
-
-6. **Digest-scale vec throughput** — the same guarded pairs the digests run
-   (long windows, the shape cache-size sweeps and interval-telemetry runs
-   take), batched through the array-stepped kernel versus cold serial. This
-   gates the array kernel's win separately from the screening-scale gate:
-   ``vec_digest.min_speedup`` is the floor and
-   ``vec_digest_cycles_per_sec`` gets the host-normalized check.
-   ``--json [PATH]`` additionally emits both vec sections as a
-   machine-readable benchmark artifact (default ``BENCH_vec.json``) for
-   trajectory tracking.
-
-7. **Checkpoint-resume win** — ``resume_speedup``: wall-clock of a cold
+5. **Checkpoint-resume win** — ``resume_speedup``: wall-clock of a cold
    rerun of the guarded microbench pair versus restoring a midpoint
    checkpoint envelope and finishing the remaining half. Resuming from a
    >=50% checkpoint must beat the rerun by a hard floor
    (``resume.min_speedup`` in the baseline, default 1.3x) — the whole
    point of the lease protocol's preemptible workers — and both arms are
    asserted bit-identical, so the gate also pins resume correctness. The
-   ratio is self-normalizing (both arms share the host), like the vec
-   speedup gates.
+   ratio is self-normalizing (both arms share the host).
 
-A separate mode, ``--backend-parity``, compares the staged, fused and
-vectorized engines bit-for-bit (results *and* per-thread gating cycles) on
-every guarded pair — the CI gate that pins the vectorized backend
-cycle-exact. ``--vec-kernel`` selects the batch arm's stepping engine, so
-CI runs the gate once per kernel.
+A separate mode, ``--backend-parity``, compares the staged and fused
+engines bit-for-bit (results *and* per-thread gating cycles) on every
+guarded pair — the CI gate that pins the fused loop cycle-exact.
 
 Another separate mode, ``--service-bench PATH``, gates a ``dwarn-sim
 loadtest`` report (``BENCH_service.json``) against the baseline's
@@ -83,7 +62,7 @@ Usage::
 
     python -m repro.utils.perfguard --baseline benchmarks/baselines.json
     python -m repro.utils.perfguard --baseline benchmarks/baselines.json --update
-    python -m repro.utils.perfguard --backend-parity --vec-kernel array
+    python -m repro.utils.perfguard --backend-parity
     python -m repro.utils.perfguard --service-bench BENCH_service.json
 
 Exit status: 0 = within tolerance, 1 = regression or digest drift,
@@ -107,7 +86,6 @@ __all__ = [
     "GUARDED_POLICIES",
     "GUARDED_WORKLOADS",
     "SWEEP_PAIRS",
-    "VEC_SCREEN_POLICIES",
     "calibration_score",
     "check_service_bench",
     "collect_backend_parity",
@@ -117,8 +95,6 @@ __all__ = [
     "collect_resume",
     "collect_speed",
     "collect_sweep",
-    "collect_vec_digest",
-    "collect_vec_speed",
     "compare",
     "main",
 ]
@@ -126,7 +102,7 @@ __all__ = [
 #: The six policies of the paper's main comparison (Table 4 / Figures 1-5),
 #: plus the dynamic meta-selector extension — its digests pin the interval
 #: feature sampling and switch decisions, and its backend-parity leg keeps
-#: the staged/fused/vec engines honest about mid-run policy switches.
+#: the staged/fused engines honest about mid-run policy switches.
 GUARDED_POLICIES: tuple[str, ...] = (
     "icount", "stall", "flush", "dg", "pdg", "dwarn", "meta",
 )
@@ -298,166 +274,6 @@ def collect_ingest(repeats: int = _INGEST_REPEATS) -> dict[str, float]:
     }
 
 
-#: The vectorized-backend measurement: a *screening* sweep — every policy in
-#: the registry over the paper's 2/4-thread workload mix at short windows,
-#: the "rank candidate policies cheaply" regime the batch backend exists
-#: for. The serial arm pays what a fresh worker process pays per pair (cold
-#: in-process trace memo); the batch arm shares setup across the whole
-#: sweep, so the ratio is the backend's honest end-to-end win.
-VEC_SCREEN_POLICIES: tuple[str, ...] = (
-    "icount", "stall", "flush", "dg", "pdg", "dwarn",
-    "dwarn-pure", "dcpred", "rr", "brcount", "misscount", "meta",
-)
-_VEC_SIMCFG = dict(
-    warmup_cycles=100, measure_cycles=400, trace_length=6_000, seed=777
-)
-_VEC_REPEATS = 2
-#: CI floor for the batched-sweep speedup (overridable per baseline file
-#: via ``vec.min_speedup``): the vectorized backend must beat per-pair cold
-#: serial execution by at least this factor on the screening sweep.
-_VEC_MIN_SPEEDUP = 5.0
-
-
-def collect_vec_speed(repeats: int = _VEC_REPEATS) -> dict[str, float]:
-    """Measure the vectorized backend's batched-sweep throughput.
-
-    Runs the screening sweep (:data:`VEC_SCREEN_POLICIES` x
-    :data:`GUARDED_WORKLOADS`) both ways, ``repeats`` times each,
-    alternating arms so host noise lands on both equally:
-
-    - **serial-cold**: one pair at a time, clearing the in-process trace
-      memo between pairs — the setup cost a fresh worker process pays;
-    - **batch**: one ``VecBatchSimulator`` over all lanes.
-
-    Reports best-of-N wall-clock for each arm, the speedup ratio,
-    ``vec_cycles_per_sec`` (simulated cycles per second across the whole
-    batch) and its host-normalized score. Results are asserted identical
-    between the arms (cheap insurance on top of ``--backend-parity``).
-    """
-    from repro.core import Simulator, make_policy
-    from repro.core.vec import VecBatchSimulator
-    from repro.trace.synthetic import clear_trace_cache
-    from repro.workloads import build_programs, get_workload
-
-    calib = calibration_score()
-    machine = get_preset("baseline")
-    simcfg = SimulationConfig(**_VEC_SIMCFG)
-    lanes = [(wl, pol) for wl in GUARDED_WORKLOADS for pol in VEC_SCREEN_POLICIES]
-
-    def serial_cold() -> tuple[float, list]:
-        results = []
-        t0 = time.perf_counter()
-        for wl, pol in lanes:
-            clear_trace_cache()  # what a fresh worker process pays
-            programs = build_programs(get_workload(wl), simcfg)
-            results.append(Simulator(machine, programs, make_policy(pol), simcfg).run())
-        return time.perf_counter() - t0, results
-
-    def batch() -> tuple[float, list]:
-        clear_trace_cache()
-        b = VecBatchSimulator(machine, simcfg, lanes)
-        t0 = time.perf_counter()
-        results = b.run()
-        return time.perf_counter() - t0, results
-
-    serial_secs: list[float] = []
-    batch_secs: list[float] = []
-    batch_cycles = 0
-    for _ in range(repeats):
-        s_secs, s_res = serial_cold()
-        b_secs, b_res = batch()
-        if s_res != b_res:
-            raise AssertionError("vec batch results differ from serial run")
-        serial_secs.append(s_secs)
-        batch_secs.append(b_secs)
-        batch_cycles = sum(r.cycles for r in b_res)
-    best_serial = min(serial_secs)
-    best_batch = min(batch_secs)
-    vec_cps = batch_cycles / best_batch
-    return {
-        "lanes": len(lanes),
-        "serial_secs": round(best_serial, 3),
-        "batch_secs": round(best_batch, 3),
-        "batch_speedup": round(best_serial / best_batch, 2),
-        "vec_cycles_per_sec": round(vec_cps, 1),
-        "calibration_mops": round(calib, 3),
-        "normalized_vec_score": round(vec_cps / calib, 1),
-    }
-
-
-#: Floor for the digest-scale batched speedup over cold serial. Long
-#: windows are build-amortized less than screening sweeps (the serial arm's
-#: per-pair trace rebuild is a smaller fraction of its time), so the honest
-#: floor is lower than the screening gate's; see docs/PERFORMANCE.md for
-#: the measured ceiling analysis.
-_VEC_DIGEST_MIN_SPEEDUP = 2.2
-
-
-def collect_vec_digest(repeats: int = _VEC_REPEATS) -> dict[str, Any]:
-    """Measure the batched backend at *digest scale* (the guarded pairs'
-    long windows — the shape design-space sweeps and interval-telemetry
-    runs take), cold serial versus one batch on the default stepping
-    kernel (the array kernel whenever numpy is importable).
-
-    Same methodology as :func:`collect_vec_speed` — alternating arms,
-    best-of-N, results asserted identical — plus the resolved kernel name
-    and its idle-span telemetry, so the artifact records which engine the
-    number belongs to.
-    """
-    from repro.core import Simulator, make_policy
-    from repro.core.vec import VecBatchSimulator
-    from repro.trace.synthetic import clear_trace_cache
-    from repro.workloads import build_programs, get_workload
-
-    calib = calibration_score()
-    machine = get_preset("baseline")
-    simcfg = SimulationConfig(**_DIGEST_SIMCFG)
-    lanes = [(wl, pol) for wl in GUARDED_WORKLOADS for pol in GUARDED_POLICIES]
-
-    def serial_cold() -> tuple[float, list]:
-        results = []
-        t0 = time.perf_counter()
-        for wl, pol in lanes:
-            clear_trace_cache()  # what a fresh worker process pays
-            programs = build_programs(get_workload(wl), simcfg)
-            results.append(Simulator(machine, programs, make_policy(pol), simcfg).run())
-        return time.perf_counter() - t0, results
-
-    serial_secs: list[float] = []
-    batch_secs: list[float] = []
-    batch_cycles = 0
-    kernel = "?"
-    idle_skipped = 0
-    for _ in range(repeats):
-        s_secs, s_res = serial_cold()
-        clear_trace_cache()
-        b = VecBatchSimulator(machine, simcfg, lanes)
-        t0 = time.perf_counter()
-        b_res = b.run()
-        b_secs = time.perf_counter() - t0
-        if s_res != b_res:
-            raise AssertionError("vec digest batch results differ from serial run")
-        serial_secs.append(s_secs)
-        batch_secs.append(b_secs)
-        batch_cycles = sum(r.cycles for r in b_res)
-        kernel = b.kernel_used or "?"
-        idle_skipped = b.idle_cycles_skipped
-    best_serial = min(serial_secs)
-    best_batch = min(batch_secs)
-    vec_cps = batch_cycles / best_batch
-    return {
-        "lanes": len(lanes),
-        "kernel": kernel,
-        "idle_cycles_skipped": idle_skipped,
-        "serial_secs": round(best_serial, 3),
-        "batch_secs": round(best_batch, 3),
-        "digest_speedup": round(best_serial / best_batch, 2),
-        "vec_digest_cycles_per_sec": round(vec_cps, 1),
-        "calibration_mops": round(calib, 3),
-        "normalized_vec_digest_score": round(vec_cps / calib, 1),
-    }
-
-
 #: Resume-measurement shape: long enough that the half-run saving dwarfs
 #: envelope parse + restore cost, short enough for CI. The trace is 3x the
 #: window so neither arm runs out of records early.
@@ -545,25 +361,20 @@ def collect_resume(repeats: int = _RESUME_REPEATS) -> dict[str, Any]:
     }
 
 
-def collect_backend_parity(vec_kernel: str = "auto") -> dict[str, Any]:
-    """Run every guarded (workload, policy) pair through all three engines
-    — staged ``_step``, fused ``_run_fast``, and the vectorized batch — and
-    compare results *and* per-thread gating statistics exactly.
+def collect_backend_parity() -> dict[str, Any]:
+    """Run every guarded (workload, policy) pair through both engines —
+    staged ``_step`` and fused ``_run_fast`` — and compare results *and*
+    per-thread gating statistics exactly.
 
     The staged engine is forced the same way the property suite does: any
     instance-dict stage override makes ``_fast_eligible`` refuse the fused
-    loop. The vec arm runs all pairs as one lockstep batch, which is
-    exactly how the backend amortizes setup in production; ``vec_kernel``
-    selects its stepping engine so CI can pin both the array-stepped
-    kernel and per-lane stepping.
+    loop.
     """
     from repro.core import Simulator, make_policy
-    from repro.core.vec import VecBatchSimulator
     from repro.workloads import build_programs, get_workload
 
     machine = get_preset("baseline")
     simcfg = SimulationConfig(**_DIGEST_SIMCFG)
-    lanes = [(wl, pol) for wl in GUARDED_WORKLOADS for pol in GUARDED_POLICIES]
 
     def one(workload: str, policy: str, staged: bool):
         programs = build_programs(get_workload(workload), simcfg)
@@ -573,31 +384,21 @@ def collect_backend_parity(vec_kernel: str = "auto") -> dict[str, Any]:
         res = sim.run()
         return res, list(sim.stats.gated_cycles)
 
-    vec_batch = VecBatchSimulator(machine, simcfg, lanes, vec_kernel=vec_kernel)
-    vec_results = vec_batch.run()
-    vec_gated = [list(r.sim.stats.gated_cycles) for r in vec_batch._runs]
-
     pairs: dict[str, Any] = {}
     all_match = True
-    for i, (wl, pol) in enumerate(lanes):
-        staged_res, staged_gated = one(wl, pol, staged=True)
-        fused_res, fused_gated = one(wl, pol, staged=False)
-        match = (
-            staged_res == fused_res == vec_results[i]
-            and staged_gated == fused_gated == vec_gated[i]
-        )
-        all_match = all_match and match
-        pairs[f"{wl}/{pol}"] = {
-            "match": match,
-            "cycles": staged_res.cycles,
-            "committed": list(staged_res.committed),
-            "gated_cycles": staged_gated,
-        }
-    return {
-        "pairs": pairs,
-        "all_match": all_match,
-        "kernel": vec_batch.kernel_used,
-    }
+    for wl in GUARDED_WORKLOADS:
+        for pol in GUARDED_POLICIES:
+            staged_res, staged_gated = one(wl, pol, staged=True)
+            fused_res, fused_gated = one(wl, pol, staged=False)
+            match = staged_res == fused_res and staged_gated == fused_gated
+            all_match = all_match and match
+            pairs[f"{wl}/{pol}"] = {
+                "match": match,
+                "cycles": staged_res.cycles,
+                "committed": list(staged_res.committed),
+                "gated_cycles": staged_gated,
+            }
+    return {"pairs": pairs, "all_match": all_match}
 
 
 #: Instrumented-overhead measurement shape: long enough that per-window
@@ -732,56 +533,6 @@ def compare(
                 f"(baseline {base_inorm:.2f}, tolerance {ing_tol:.0%})"
             )
 
-    # Vectorized backend: the batched-sweep speedup has a hard floor (the
-    # backend's reason to exist), and its cycles/sec gets the same
-    # normalized-regression check as the single-run microbench.
-    base_vec = baseline.get("vec", {})
-    cur_vec = current.get("vec", {})
-    if base_vec and cur_vec:
-        floor_ratio = float(base_vec.get("min_speedup", _VEC_MIN_SPEEDUP))
-        cur_ratio = float(cur_vec.get("batch_speedup", 0.0))
-        if cur_ratio < floor_ratio:
-            failures.append(
-                f"vec backend speedup {cur_ratio:.2f}x below the "
-                f"{floor_ratio:.1f}x floor (batched screening sweep vs "
-                "cold serial)"
-            )
-        base_vscore = float(base_vec.get("normalized_vec_score", 0.0))
-        cur_vscore = float(cur_vec.get("normalized_vec_score", 0.0))
-        if base_vscore > 0.0:
-            vfloor = base_vscore * (1.0 - tolerance)
-            if cur_vscore < vfloor:
-                failures.append(
-                    "vec backend regression: normalized vec score "
-                    f"{cur_vscore:.1f} < floor {vfloor:.1f} "
-                    f"(baseline {base_vscore:.1f}, tolerance {tolerance:.0%})"
-                )
-
-    # Digest-scale vec: same two checks as the screening gate, with its own
-    # (lower) speedup floor — long windows amortize setup less, and the
-    # array kernel's win there is exactly what this section regression-gates.
-    base_vd = baseline.get("vec_digest", {})
-    cur_vd = current.get("vec_digest", {})
-    if base_vd and cur_vd:
-        floor_ratio = float(base_vd.get("min_speedup", _VEC_DIGEST_MIN_SPEEDUP))
-        cur_ratio = float(cur_vd.get("digest_speedup", 0.0))
-        if cur_ratio < floor_ratio:
-            failures.append(
-                f"vec digest-scale speedup {cur_ratio:.2f}x below the "
-                f"{floor_ratio:.1f}x floor (batched guarded pairs vs cold "
-                "serial)"
-            )
-        base_vdscore = float(base_vd.get("normalized_vec_digest_score", 0.0))
-        cur_vdscore = float(cur_vd.get("normalized_vec_digest_score", 0.0))
-        if base_vdscore > 0.0:
-            vdfloor = base_vdscore * (1.0 - tolerance)
-            if cur_vdscore < vdfloor:
-                failures.append(
-                    "vec digest-scale regression: normalized score "
-                    f"{cur_vdscore:.1f} < floor {vdfloor:.1f} "
-                    f"(baseline {base_vdscore:.1f}, tolerance {tolerance:.0%})"
-                )
-
     # Checkpoint resume: the speedup over a cold rerun has a hard floor
     # (the lease protocol's preemptible workers exist to bank this win),
     # and the checkpoint must genuinely sit at >=50% of the window — a
@@ -812,18 +563,16 @@ def _build_current(skip_speed: bool, skip_sweep: bool) -> dict[str, Any]:
     if not skip_speed:
         current["speed"] = collect_speed()
         current["ingest"] = collect_ingest()
-        current["vec"] = collect_vec_speed()
-        current["vec_digest"] = collect_vec_digest()
         current["resume"] = collect_resume()
     if not (skip_speed or skip_sweep):
         current["sweep"] = collect_sweep()
     return current
 
 
-def _backend_parity_check(vec_kernel: str = "auto") -> int:
-    """The ``--backend-parity`` mode: staged vs fused vs vectorized, every
-    guarded pair, results and gating stats bit-identical. Exit status."""
-    parity = collect_backend_parity(vec_kernel)
+def _backend_parity_check() -> int:
+    """The ``--backend-parity`` mode: staged vs fused, every guarded pair,
+    results and gating stats bit-identical. Exit status."""
+    parity = collect_backend_parity()
     for key, rec in sorted(parity["pairs"].items()):
         status = "ok " if rec["match"] else "FAIL"
         print(
@@ -840,9 +589,8 @@ def _backend_parity_check(vec_kernel: str = "auto") -> int:
         )
         return 1
     print(
-        f"perfguard OK: staged, fused and vectorized engines "
-        f"(vec kernel: {parity['kernel']}) bit-identical on all {n} pairs "
-        f"(results and gating stats)"
+        f"perfguard OK: staged and fused engines bit-identical on all "
+        f"{n} pairs (results and gating stats)"
     )
     return 0
 
@@ -995,24 +743,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--backend-parity",
         action="store_true",
-        help="compare the staged, fused and vectorized engines bit-for-bit "
+        help="compare the staged and fused engines bit-for-bit "
         "on every guarded pair (results and gating stats); no timing",
-    )
-    parser.add_argument(
-        "--vec-kernel",
-        choices=("auto", "array", "lane"),
-        default="auto",
-        help="stepping engine for the vectorized arm of --backend-parity "
-        "(default: auto = array when numpy is present)",
-    )
-    parser.add_argument(
-        "--json",
-        nargs="?",
-        const="BENCH_vec.json",
-        default=None,
-        metavar="PATH",
-        help="also write the vec benchmark sections as a machine-readable "
-        "JSON artifact (default path: BENCH_vec.json)",
     )
     parser.add_argument(
         "--service-bench",
@@ -1037,7 +769,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     if args.backend_parity:
-        return _backend_parity_check(args.vec_kernel)
+        return _backend_parity_check()
 
     if args.obs_overhead:
         return _obs_overhead_check(args.obs_tolerance)
@@ -1047,16 +779,6 @@ def main(argv: list[str] | None = None) -> int:
 
     current = _build_current(args.skip_speed, args.skip_sweep)
 
-    if args.json is not None:
-        artifact = {
-            "vec": current.get("vec"),
-            "vec_digest": current.get("vec_digest"),
-        }
-        Path(args.json).write_text(
-            json.dumps(artifact, indent=2, sort_keys=True) + "\n"
-        )
-        print(f"perfguard: vec benchmark artifact written to {args.json}")
-
     if args.update:
         current["tolerance"] = args.tolerance if args.tolerance is not None else 0.20
         # Hard speedup floors survive a refresh: keep the previous file's
@@ -1064,14 +786,6 @@ def main(argv: list[str] | None = None) -> int:
         prior: dict[str, Any] = {}
         if args.baseline.exists():
             prior = json.loads(args.baseline.read_text())
-        if "vec" in current:
-            current["vec"]["min_speedup"] = prior.get("vec", {}).get(
-                "min_speedup", _VEC_MIN_SPEEDUP
-            )
-        if "vec_digest" in current:
-            current["vec_digest"]["min_speedup"] = prior.get("vec_digest", {}).get(
-                "min_speedup", _VEC_DIGEST_MIN_SPEEDUP
-            )
         if "resume" in current:
             current["resume"]["min_speedup"] = prior.get("resume", {}).get(
                 "min_speedup", _RESUME_MIN_SPEEDUP
@@ -1103,8 +817,6 @@ def main(argv: list[str] | None = None) -> int:
         baseline.pop("speed", None)
         baseline.pop("sweep", None)
         baseline.pop("ingest", None)
-        baseline.pop("vec", None)
-        baseline.pop("vec_digest", None)
         baseline.pop("resume", None)
     if args.skip_sweep:
         baseline = dict(baseline)
@@ -1142,21 +854,6 @@ def main(argv: list[str] | None = None) -> int:
             f"({ing['records']} records), normalized "
             f"{ing['normalized_ingest_secs']:.2f} vs baseline "
             f"{baseline.get('ingest', {}).get('normalized_ingest_secs', 0.0):.2f}"
-        )
-    vec = current.get("vec")
-    if vec is not None:
-        print(
-            f"perfguard OK: vec backend {vec['batch_speedup']:.2f}x over "
-            f"cold serial ({vec['lanes']} lanes, batch {vec['batch_secs']:.2f}s), "
-            f"{vec['vec_cycles_per_sec']:,.0f} cycles/s"
-        )
-    vd = current.get("vec_digest")
-    if vd is not None:
-        print(
-            f"perfguard OK: vec digest-scale {vd['digest_speedup']:.2f}x over "
-            f"cold serial ({vd['lanes']} lanes, kernel {vd['kernel']}, "
-            f"{vd['idle_cycles_skipped']} idle cycles skipped), "
-            f"{vd['vec_digest_cycles_per_sec']:,.0f} cycles/s"
         )
     res = current.get("resume")
     if res is not None:

@@ -116,8 +116,8 @@ def build_single(
     Ingested workload names (see :mod:`repro.trace.ingest`) resolve here
     too — native benchmark names always win, so an ingested file can never
     shadow a profile — which is the single hook that makes ingested
-    workloads runnable through ``run``/``run_pairs``/the vec backend/the
-    service without any of them knowing about trace files.
+    workloads runnable through ``run``/``run_pairs``/the service without
+    any of them knowing about trace files.
     """
     if bench not in PROFILES:
         path = ingest.find_ingested(bench)

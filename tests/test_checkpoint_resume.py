@@ -4,10 +4,9 @@ Three layers are pinned here, mirroring the service's preemption path:
 
 - **Parity** — ``run_checkpointed`` is behavior-neutral, and resuming from
   any captured envelope on a fresh simulator finishes bit-identical to a
-  run that never paused, across the staged and fused engines and against
-  the vectorized batch backend, for all six static policies *and* the
-  meta-policy (whose hysteresis state and shared gate counters must
-  survive the round trip).
+  run that never paused, across the staged and fused engines, for all six
+  static policies *and* the meta-policy (whose hysteresis state and shared
+  gate counters must survive the round trip).
 - **Envelope codec** — ``checkpoint_to_bytes`` / ``peek_checkpoint`` /
   ``checkpoint_from_bytes`` reject corruption, truncation, version skew
   and header/payload cycle disagreement with :class:`SnapshotError`.
@@ -43,7 +42,6 @@ from repro.core.columnar import (
     peek_checkpoint,
     run_checkpointed,
 )
-from repro.core.vec import run_batch
 from repro.experiments.parallel import SweepCostModel, simulate_resumable
 from repro.workloads import build_programs, get_workload
 
@@ -135,17 +133,6 @@ class TestBitExactResume:
         _, envelopes, _ = _capture_envelopes("2-MEM", "dwarn", simcfg, 250)
         resumed = _resume_from(envelopes[0], "2-MEM", "dwarn", simcfg, staged=True)
         assert resumed.result() == ref_result
-
-    def test_resume_matches_vec_batch_reference(self):
-        """Resumed serial runs agree with the vectorized batch backend's
-        uninterrupted lanes — the parity triangle closes across engines."""
-        simcfg = _simcfg()
-        lanes = [("2-MEM", pol) for pol in POLICIES]
-        vec_results = run_batch(baseline(), simcfg, lanes)
-        for (wl, pol), vec_result in zip(lanes, vec_results):
-            _, envelopes, _ = _capture_envelopes(wl, pol, simcfg, 250)
-            resumed = _resume_from(envelopes[0], wl, pol, simcfg)
-            assert resumed.result() == vec_result, f"{wl}/{pol} diverged from vec"
 
     def test_meta_hysteresis_and_shared_gate_counters_survive(self):
         """The meta-policy's switch history, streak state and the gate-count

@@ -104,14 +104,41 @@ class TestRouteParser:
         args = build_parser().parse_args(
             [
                 "route", "--shards", "4", "--queue-capacity", "128",
-                "--batch-max", "4", "--backend", "vec", "--lease-ttl", "5",
+                "--batch-max", "4", "--lease-ttl", "5",
             ]
         )
         assert args.shards == 4
         assert args.queue_capacity == 128
         assert args.batch_max == 4
-        assert args.backend == "vec"
         assert args.lease_ttl == pytest.approx(5.0)
+
+    def test_shard_args_parse_under_serve(self, monkeypatch):
+        """Every flag route forwards to its supervised shards must be one
+        ``serve`` accepts; otherwise each shard dies at boot."""
+        import repro.service.router as router
+
+        captured = []
+        monkeypatch.setattr(
+            router, "run_router", lambda cfg: captured.append(cfg) or 0
+        )
+        assert main(
+            [
+                "route", "--queue-capacity", "128", "--batch-max", "4",
+                "--processes", "2", "--lease-ttl", "5",
+            ]
+        ) == 0
+        (cfg,) = captured
+        args = build_parser().parse_args(["serve", *cfg.shard_args])
+        assert args.queue_capacity == 128
+        assert args.batch_max == 4
+        assert args.processes == 2
+        assert args.lease_ttl == pytest.approx(5.0)
+
+    @pytest.mark.parametrize("command", ["report", "serve", "worker", "route"])
+    def test_vec_backend_flag_rejected(self, command):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([command, "--backend", "vec"])
+        assert exc.value.code == 2
 
 
 class TestWorkerParser:
