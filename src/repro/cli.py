@@ -13,7 +13,7 @@ Subcommands::
     dwarn-sim serve --port 8177                # simulation-as-a-service daemon
     dwarn-sim worker --server URL -j 2         # distributed worker for a daemon
     dwarn-sim route --shards 4                 # sharding router over 4 daemons
-    dwarn-sim loadtest --jobs 2000             # load harness -> BENCH_service.json
+    dwarn-sim loadtest --jobs 2000             # exactly-once under load + report
     dwarn-sim ingest inspect f.dwit            # validate + describe a trace file
     dwarn-sim ingest convert t.jsonl -o f.dwit # real JSONL trace -> binary format
     dwarn-sim ingest export mcf -o f.dwit      # synthetic trace -> trace file
@@ -342,8 +342,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_lt = sub.add_parser(
         "loadtest",
-        help="drive concurrent clients through a sharded router; "
-        "emit BENCH_service.json (docs/SCALING.md)",
+        help="drive concurrent clients through a sharded router; fail "
+        "unless every job completes exactly once; write a throughput and "
+        "latency report (docs/SCALING.md)",
     )
     p_lt.add_argument(
         "--router", default=None, metavar="URL",

@@ -24,7 +24,7 @@ needs a long-lived process instead. ``dwarn-sim serve`` starts one:
   eviction, reloaded on restart.
 - **Client** (:mod:`repro.service.client`): a blocking stdlib-only client
   with timeouts, bounded retries and jittered backoff, used by the tests,
-  the CI smoke job and the examples in docs/SERVICE.md.
+  the load harness and the examples in docs/SERVICE.md.
 - **Workers** (:mod:`repro.service.worker`): ``dwarn-sim worker`` runs a
   pull-based distributed worker that leases job batches over
   ``POST /v1/leases``, executes them through the same sweep engine and
@@ -36,8 +36,9 @@ needs a long-lived process instead. ``dwarn-sim serve`` starts one:
   admission control, chunked result streaming relayed shard-by-shard, and
   per-key-range 503 degradation when a shard dies. See docs/SCALING.md.
 - **Load harness** (:mod:`repro.service.loadtest`): ``dwarn-sim loadtest``
-  replays thousands of concurrent mixed-duplicate clients through a router
-  and emits ``BENCH_service.json`` (p50/p95 latency, jobs/min, dedup and
+  replays thousands of concurrent mixed-duplicate clients through a router,
+  fails unless every job completes exactly once, and writes a report
+  (default ``BENCH_service.json``: p50/p95 latency, jobs/min, dedup and
   exactly-once accounting).
 
 Quickstart::

@@ -1,10 +1,13 @@
 """Load-test harness for the sharded service: ``dwarn-sim loadtest``.
 
-The ROADMAP's graduation gate for multi-daemon scale-out is a number, not a
-feature list: *sustained ≥1k jobs/min through a 2-shard router on CI-class
-hardware, dedup intact, drain-correct under rolling restarts*. This module
-measures exactly that and writes the evidence to ``BENCH_service.json``
-(the measured curve in docs/SCALING.md comes from the same file).
+Drives mixed-duplicate traffic through a sharded router and checks that
+the fleet stays correct under it: every job completes, none is lost, and
+every unique spec yields exactly one result, also across rolling restarts
+of the shards. The report (default ``BENCH_service.json``; the measured
+curve in docs/SCALING.md comes from such runs) records throughput and
+latency alongside. With mostly-duplicate traffic most jobs are store hits,
+so its jobs/min is dedup throughput; perfbench's ``svc-mixed`` workload
+measures simulated jobs/min.
 
 What a run does:
 
@@ -31,9 +34,9 @@ What a run does:
    — a duplicate execution with a different seed path, or a torn result
    after a restart, shows up as a second value.
 4. **Report**: ``BENCH_service.json`` (schema below) plus a human summary;
-   exit 1 if ``--min-jobs-per-min`` is set and missed, or if any
-   correctness check failed. ``repro.utils.perfguard --service-bench``
-   gates CI on the same file.
+   exit 1 if any correctness check failed (not exactly-once, a failed
+   job, or fewer completions than requested), or if
+   ``--min-jobs-per-min`` is set and missed.
 
 Report schema (``schema: 1``)::
 
@@ -150,10 +153,10 @@ class _Proc:
         self.proc: subprocess.Popen | None = None
         self.port: int | None = None
 
-    def start(self, extra: list[str] = []) -> None:
+    def start(self) -> None:
         self.port_file.unlink(missing_ok=True)
         self.proc = subprocess.Popen(
-            self.argv + extra, stdout=subprocess.DEVNULL, stderr=subprocess.STDOUT
+            self.argv, stdout=subprocess.DEVNULL, stderr=subprocess.STDOUT
         )
 
     def await_port(self, timeout: float = 30.0) -> int:
@@ -406,10 +409,7 @@ def run_loadtest(cfg: LoadTestConfig) -> int:
     fleet: Fleet | None = None
     if cfg.router_url is None:
         fleet = Fleet(cfg, state)
-        print(f"loadtest: booting {cfg.shards} shards + router "
-              f"(state: {state})", flush=True)
-        port = fleet.boot()
-        host = "127.0.0.1"
+        host, port = "127.0.0.1", 0
     else:
         addr = cfg.router_url.removeprefix("http://").rstrip("/")
         host, _, port_s = addr.rpartition(":")
@@ -419,6 +419,12 @@ def run_loadtest(cfg: LoadTestConfig) -> int:
         port = int(port_s)
 
     try:
+        # Boot inside the try: a shard or router that fails to report its
+        # port must not leave the children already started running.
+        if fleet is not None:
+            print(f"loadtest: booting {cfg.shards} shards + router "
+                  f"(state: {state})", flush=True)
+            port = fleet.boot()
         return _drive(cfg, host, port, fleet)
     finally:
         if fleet is not None:

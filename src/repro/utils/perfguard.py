@@ -50,20 +50,11 @@ A separate mode, ``--backend-parity``, compares the staged and fused
 engines bit-for-bit (results *and* per-thread gating cycles) on every
 guarded pair — the CI gate that pins the fused loop cycle-exact.
 
-Another separate mode, ``--service-bench PATH``, gates a ``dwarn-sim
-loadtest`` report (``BENCH_service.json``) against the baseline's
-``service`` section: sustained jobs/min must clear ``min_jobs_per_min``
-(the ROADMAP's scale-out graduation gate), the run must have been
-loss-free and exactly-once, and an optional ``max_p95_secs`` bounds tail
-latency. The report is produced by the load harness, not by this module —
-perfguard only referees it.
-
 Usage::
 
     python -m repro.utils.perfguard --baseline benchmarks/baselines.json
     python -m repro.utils.perfguard --baseline benchmarks/baselines.json --update
     python -m repro.utils.perfguard --backend-parity
-    python -m repro.utils.perfguard --service-bench BENCH_service.json
 
 Exit status: 0 = within tolerance, 1 = regression or digest drift,
 2 = bad invocation (missing baseline without ``--update``).
@@ -87,7 +78,6 @@ __all__ = [
     "GUARDED_WORKLOADS",
     "SWEEP_PAIRS",
     "calibration_score",
-    "check_service_bench",
     "collect_backend_parity",
     "collect_digests",
     "collect_ingest",
@@ -595,91 +585,6 @@ def _backend_parity_check() -> int:
     return 0
 
 
-#: Default sustained-throughput floor for the ``service`` baseline section:
-#: the ROADMAP's scale-out graduation gate (a 2-shard router must clear 1k
-#: jobs/min with dedup intact).
-_SERVICE_MIN_JOBS_PER_MIN = 1000.0
-
-
-def check_service_bench(
-    report: dict[str, Any], baseline: dict[str, Any]
-) -> list[str]:
-    """Gate a ``dwarn-sim loadtest`` report against ``baseline["service"]``.
-
-    Returns the list of failure strings (empty = pass). Three checks are
-    unconditional — throughput floor, exactly-once dedup, zero lost jobs —
-    and ``max_p95_secs`` adds an optional tail-latency ceiling when the
-    baseline sets one.
-    """
-    svc = baseline.get("service", {})
-    floor = float(svc.get("min_jobs_per_min", _SERVICE_MIN_JOBS_PER_MIN))
-    failures: list[str] = []
-
-    jobs = report.get("jobs", {})
-    jpm = float(report.get("throughput", {}).get("jobs_per_min", 0.0))
-    if jpm < floor:
-        failures.append(
-            f"service throughput {jpm:.0f} jobs/min below floor {floor:.0f}"
-        )
-    if not report.get("dedup", {}).get("exactly_once", False):
-        failures.append("service run was not exactly-once (duplicate results)")
-    failed = int(jobs.get("failed", 0))
-    if failed:
-        failures.append(f"service run lost {failed} job(s)")
-    requested, completed = int(jobs.get("requested", 0)), int(jobs.get("completed", 0))
-    if completed < requested:
-        failures.append(
-            f"service run completed {completed}/{requested} requested jobs"
-        )
-    p95_ceiling = svc.get("max_p95_secs")
-    if p95_ceiling is not None:
-        p95 = float(report.get("latency", {}).get("p95", 0.0))
-        if p95 > float(p95_ceiling):
-            failures.append(
-                f"service p95 latency {p95:.3f}s exceeds ceiling "
-                f"{float(p95_ceiling):.3f}s"
-            )
-    return failures
-
-
-def _service_bench_check(report_path: Path, baseline_path: Path) -> int:
-    """The ``--service-bench`` mode: referee an existing BENCH_service.json
-    against the baseline's ``service`` section. Returns the exit status."""
-    if not report_path.exists():
-        print(
-            f"perfguard: service bench report {report_path} not found "
-            "(produce one with `dwarn-sim loadtest`)",
-            file=sys.stderr,
-        )
-        return 2
-    report = json.loads(report_path.read_text())
-    baseline: dict[str, Any] = {}
-    if baseline_path.exists():
-        baseline = json.loads(baseline_path.read_text())
-    jobs = report.get("jobs", {})
-    lat = report.get("latency", {})
-    print(
-        f"perfguard service: {jobs.get('completed', 0)}/{jobs.get('requested', 0)} "
-        f"jobs, {report.get('throughput', {}).get('jobs_per_min', 0.0):.0f} "
-        f"jobs/min, p50 {lat.get('p50', 0.0):.3f}s p95 {lat.get('p95', 0.0):.3f}s, "
-        f"exactly_once={report.get('dedup', {}).get('exactly_once', False)}"
-    )
-    failures = check_service_bench(report, baseline)
-    for f in failures:
-        print(f"perfguard FAIL: {f}", file=sys.stderr)
-    if not failures:
-        floor = float(
-            baseline.get("service", {}).get(
-                "min_jobs_per_min", _SERVICE_MIN_JOBS_PER_MIN
-            )
-        )
-        print(
-            f"perfguard OK: service bench clears the {floor:.0f} jobs/min "
-            "floor, exactly-once, no lost jobs"
-        )
-    return 1 if failures else 0
-
-
 def _obs_overhead_check(tolerance: float) -> int:
     """The ``--obs-overhead`` mode: measure, report, and gate (<tolerance,
     digests bit-identical). Returns the process exit status."""
@@ -747,14 +652,6 @@ def main(argv: list[str] | None = None) -> int:
         "on every guarded pair (results and gating stats); no timing",
     )
     parser.add_argument(
-        "--service-bench",
-        type=Path,
-        default=None,
-        metavar="PATH",
-        help="gate an existing `dwarn-sim loadtest` report (BENCH_service.json) "
-        "against the baseline's `service` section; no simulation runs",
-    )
-    parser.add_argument(
         "--obs-overhead",
         action="store_true",
         help="measure interval-metrics overhead only: one instrumented vs one "
@@ -774,9 +671,6 @@ def main(argv: list[str] | None = None) -> int:
     if args.obs_overhead:
         return _obs_overhead_check(args.obs_tolerance)
 
-    if args.service_bench is not None:
-        return _service_bench_check(args.service_bench, args.baseline)
-
     current = _build_current(args.skip_speed, args.skip_sweep)
 
     if args.update:
@@ -790,9 +684,6 @@ def main(argv: list[str] | None = None) -> int:
             current["resume"]["min_speedup"] = prior.get("resume", {}).get(
                 "min_speedup", _RESUME_MIN_SPEEDUP
             )
-        current["service"] = prior.get(
-            "service", {"min_jobs_per_min": _SERVICE_MIN_JOBS_PER_MIN}
-        )
         args.baseline.parent.mkdir(parents=True, exist_ok=True)
         args.baseline.write_text(json.dumps(current, indent=2, sort_keys=True) + "\n")
         print(f"perfguard: baseline written to {args.baseline}")

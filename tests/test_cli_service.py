@@ -1,7 +1,7 @@
 """CLI surface of the service subsystem: ``dwarn-sim version`` and the
 ``serve``/``route``/``loadtest`` argument wiring (the daemons themselves
 are exercised end-to-end by tests/test_service_e2e.py,
-tests/test_service_router.py and the CI smoke jobs)."""
+tests/test_service_router.py and tests/test_worker_chaos.py)."""
 
 from __future__ import annotations
 

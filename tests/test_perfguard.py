@@ -2,15 +2,12 @@
 
 The expensive collection paths (digests, speed, sweep) run in CI's
 perf-smoke job; here we pin the *decision* logic: what counts as digest
-drift, a speed regression, a sweep regression, and a failed service
-load-test report.
+drift, a speed regression, a sweep regression and a missed resume floor.
 """
 
 from __future__ import annotations
 
-import json
-
-from repro.utils.perfguard import check_service_bench, compare, main
+from repro.utils.perfguard import compare
 
 
 def _base(**overrides):
@@ -68,12 +65,6 @@ class TestCompareExisting:
         failures = compare(_base(), cur, tolerance=0.20)
         assert len(failures) == 1 and "speed regression" in failures[0]
 
-    def test_extra_service_section_in_baseline_is_ignored(self):
-        # The service floor is refereed by --service-bench, never by the
-        # simulation-side compare() — an annotated baseline must not trip it.
-        base = _base(service={"min_jobs_per_min": 1000.0})
-        assert compare(base, _base(), tolerance=0.20) == []
-
 
 def _resume(**overrides):
     data = {
@@ -117,95 +108,3 @@ class TestCompareResume:
         # Old baselines (no resume section) and --skip-speed runs must pass.
         assert compare(_base(resume=_resume()), _base(), tolerance=0.20) == []
         assert compare(_base(), _base(resume=_resume()), tolerance=0.20) == []
-
-
-def _report(**overrides):
-    data = {
-        "schema": 1,
-        "jobs": {"requested": 1000, "completed": 1000, "failed": 0},
-        "throughput": {"jobs_per_min": 5000.0, "jobs_per_sec": 83.3},
-        "latency": {"p50": 0.1, "p95": 0.8},
-        "dedup": {"unique_specs": 24, "distinct_results": 24, "exactly_once": True},
-    }
-    data.update(overrides)
-    return data
-
-
-class TestServiceBench:
-    BASE = {"service": {"min_jobs_per_min": 1000.0}}
-
-    def test_clean_report_passes(self):
-        assert check_service_bench(_report(), self.BASE) == []
-
-    def test_throughput_floor(self):
-        failures = check_service_bench(
-            _report(throughput={"jobs_per_min": 900.0}), self.BASE
-        )
-        assert len(failures) == 1 and "below floor 1000" in failures[0]
-
-    def test_duplicate_results_fail(self):
-        failures = check_service_bench(
-            _report(dedup={"unique_specs": 24, "distinct_results": 25,
-                           "exactly_once": False}),
-            self.BASE,
-        )
-        assert len(failures) == 1 and "exactly-once" in failures[0]
-
-    def test_lost_jobs_fail(self):
-        failures = check_service_bench(
-            _report(jobs={"requested": 1000, "completed": 997, "failed": 3}),
-            self.BASE,
-        )
-        assert len(failures) == 2  # lost jobs AND incomplete count
-        assert any("lost 3 job" in f for f in failures)
-        assert any("997/1000" in f for f in failures)
-
-    def test_default_floor_when_baseline_has_no_service_section(self):
-        failures = check_service_bench(
-            _report(throughput={"jobs_per_min": 500.0}), {}
-        )
-        assert len(failures) == 1 and "1000" in failures[0]
-
-    def test_optional_p95_ceiling(self):
-        base = {"service": {"min_jobs_per_min": 1000.0, "max_p95_secs": 0.5}}
-        failures = check_service_bench(_report(), base)
-        assert len(failures) == 1 and "p95" in failures[0]
-        assert check_service_bench(_report(latency={"p50": 0.1, "p95": 0.4}), base) == []
-
-    def test_floor_zero_disarms_throughput_gate(self):
-        # What the CI referee leg uses on shared runners.
-        base = {"service": {"min_jobs_per_min": 0}}
-        assert check_service_bench(
-            _report(throughput={"jobs_per_min": 1.0}), base
-        ) == []
-
-
-class TestServiceBenchCli:
-    def _write(self, tmp_path, report, baseline):
-        rp = tmp_path / "BENCH_service.json"
-        rp.write_text(json.dumps(report))
-        bp = tmp_path / "baselines.json"
-        bp.write_text(json.dumps(baseline))
-        return rp, bp
-
-    def test_passing_report_exits_zero(self, tmp_path, capsys):
-        rp, bp = self._write(tmp_path, _report(), TestServiceBench.BASE)
-        assert main(["--service-bench", str(rp), "--baseline", str(bp)]) == 0
-        out = capsys.readouterr().out
-        assert "perfguard OK" in out and "1000 jobs/min" in out
-
-    def test_failing_report_exits_one(self, tmp_path, capsys):
-        rp, bp = self._write(
-            tmp_path,
-            _report(throughput={"jobs_per_min": 10.0}),
-            TestServiceBench.BASE,
-        )
-        assert main(["--service-bench", str(rp), "--baseline", str(bp)]) == 1
-        assert "below floor" in capsys.readouterr().err
-
-    def test_missing_report_is_invocation_error(self, tmp_path, capsys):
-        bp = tmp_path / "baselines.json"
-        bp.write_text(json.dumps(TestServiceBench.BASE))
-        missing = tmp_path / "nope.json"
-        assert main(["--service-bench", str(missing), "--baseline", str(bp)]) == 2
-        assert "not found" in capsys.readouterr().err

@@ -6,9 +6,9 @@ mixed-duplicate stream through a 2-shard router, restarting *both* shards
 mid-run (SIGTERM drain -> relaunch at the same address) must lose nothing
 and duplicate nothing. ``dwarn-sim loadtest --rolling-restart`` is that
 scenario end to end — harness-owned shards so each can be relaunched on
-its original port — and its ``BENCH_service.json`` report carries the
-evidence: per-key result sets of size one (exactly-once), zero failed
-jobs, and a restart count covering every shard.
+its original port — and its report carries the evidence: per-key result
+sets of size one (exactly-once), zero failed jobs, and a restart count
+covering every shard.
 
 This runs a real fleet (3 daemons + threads of real HTTP clients), so it
 is the most expensive test in tier-1 — kept to ~80 tiny jobs.
@@ -20,7 +20,13 @@ import json
 
 import pytest
 
-from repro.service.loadtest import BENCH_SCHEMA, LoadTestConfig, build_spec_pool, run_loadtest
+from repro.service.loadtest import (
+    BENCH_SCHEMA,
+    LoadTestConfig,
+    _Proc,
+    build_spec_pool,
+    run_loadtest,
+)
 
 
 class TestRollingRestartDrain:
@@ -78,6 +84,39 @@ class TestHarnessConfig:
     def test_bad_router_url_rejected(self):
         cfg = LoadTestConfig(router_url="nonsense")
         assert run_loadtest(cfg) == 2
+
+    def test_boot_failure_stops_started_children(self, tmp_path, monkeypatch):
+        """A router that never reports its port fails the run, and the
+        shards and router already started are stopped, not leaked."""
+        started: list[_Proc] = []
+        real_start, real_await_port = _Proc.start, _Proc.await_port
+
+        def start(self):
+            real_start(self)
+            started.append(self)
+
+        def await_port(self, timeout=30.0):
+            if self.name == "router":
+                raise RuntimeError("router did not report a port (injected)")
+            return real_await_port(self, timeout)
+
+        monkeypatch.setattr(_Proc, "start", start)
+        monkeypatch.setattr(_Proc, "await_port", await_port)
+        cfg = LoadTestConfig(
+            shards=2, out=str(tmp_path / "bench.json"),
+            state_dir=str(tmp_path / "state"),
+        )
+        try:
+            with pytest.raises(RuntimeError, match="injected"):
+                run_loadtest(cfg)
+            assert [p.name for p in started] == ["s0", "s1", "router"]
+            running = [p.name for p in started if p.proc.poll() is None]
+            assert running == [], f"children left running: {running}"
+        finally:
+            for p in started:
+                if p.proc.poll() is None:
+                    p.proc.kill()
+                    p.proc.wait()
 
 
 if __name__ == "__main__":  # pragma: no cover

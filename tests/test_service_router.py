@@ -234,6 +234,9 @@ class TestLiveRouting:
         assert dup["state"] == "done"
         assert dup["source"] in ("store", "disk", "memory")
 
+        # Every submission, the duplicate included, is counted as routed.
+        assert fleet.client.metrics()["router"]["routed"] >= len(jobs) + 1
+
     def test_bare_ids_fan_out_to_all_shards(self, fleet):
         job = fleet.client.submit(_spec(1))
         bare = job["id"].split("@", 1)[1]

@@ -35,6 +35,8 @@ and local-fallback logic — the things worth testing live.
 
 from __future__ import annotations
 
+import contextlib
+import os
 import signal
 import subprocess
 import sys
@@ -190,6 +192,10 @@ class TestWorkerSigkill:
             assert m["workers"]["redelivered"] >= 1, m
             assert m["jobs"]["completed"] == len(specs), m
             _assert_exactly_once(srv, specs)
+
+            # Losing a worker mid-lease must not spoil the daemon's drain.
+            status, out = srv.sigterm_and_wait()
+            assert status == 0, out
         finally:
             if worker_proc is not None and worker_proc.poll() is None:
                 worker_proc.kill()
@@ -447,6 +453,8 @@ class TestPreemptResumeRouted:
         from test_service_router import _wait_port_file
 
         rpf = tmp_path / "router-port"
+        # A session of its own makes the router's pid the process group of
+        # the whole tree, so "no shard left behind" is one killpg probe.
         router = subprocess.Popen(
             [
                 sys.executable, "-m", "repro.cli", "route",
@@ -457,6 +465,7 @@ class TestPreemptResumeRouted:
                 "--cooldown", "0.5",
             ],
             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+            start_new_session=True,
         )
         worker_a = None
         heir = None
@@ -487,6 +496,14 @@ class TestPreemptResumeRouted:
 
             _assert_preempted_resume(client, job)
             assert heir.stats["resumes"] == 1, heir.stats
+
+            # SIGTERM drains the whole tree: the router exits cleanly and
+            # takes both supervised shard daemons down with it.
+            heir.stop()
+            router.terminate()
+            assert router.wait(timeout=60) == 0
+            with pytest.raises(ProcessLookupError):
+                os.killpg(router.pid, 0)
         finally:
             if heir is not None:
                 heir.stop()
@@ -502,6 +519,8 @@ class TestPreemptResumeRouted:
                 except subprocess.TimeoutExpired:
                     router.kill()
                     router.communicate(timeout=10)
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(router.pid, signal.SIGKILL)  # orphaned shards
 
 
 class TestTwoWorkerSweep:
