@@ -1,13 +1,21 @@
 """Blocking client for the simulation service (stdlib ``http.client`` only).
 
-The client is deliberately boring: one connection per request (the server
-replies ``Connection: close``), explicit timeouts, bounded retries with
-jittered exponential backoff on transport errors, and first-class handling
-of the server's backpressure signals — a ``429`` (queue full, or the
-router's per-client rate limit) and a ``503`` (the router's owning shard is
-down) are not errors but instructions, so ``submit`` sleeps the advertised
-``Retry-After`` (capped) and tries again, up to ``backpressure_retries``
-times.
+The client is deliberately boring: one kept-alive connection per thread
+(the daemon and the router answer ``Connection: keep-alive``), explicit
+timeouts, bounded retries with jittered exponential backoff on transport
+errors, and first-class handling of the server's backpressure signals — a
+``429`` (queue full, or the router's per-client rate limit) and a ``503``
+(the router's owning shard is down) are not errors but instructions, so
+``submit`` sleeps the advertised ``Retry-After`` (capped) and tries again,
+up to ``backpressure_retries`` times.
+
+A kept-alive connection that the server closed while it sat idle (its idle
+timeout, a drain, a restart in place) fails before any response byte; the
+request is then resent at once on a fresh connection, with no backoff
+sleep and without spending a retry. Connections are per thread because
+threads share a client: the worker's heartbeat thread uses the same
+transport as its main loop, and one ``http.client`` connection cannot
+carry two requests at a time.
 
 Every retry loop is additionally bounded by a **wall-clock deadline**: the
 ``deadline`` constructor argument (or per-call override) is a total elapsed
@@ -40,6 +48,7 @@ from __future__ import annotations
 import http.client
 import json
 import random
+import threading
 import time
 from typing import Any, Iterable, Iterator
 
@@ -90,6 +99,8 @@ class ServiceClient:
         self.deadline = deadline
         self.client_id = client_id
         self._rng = rng or random.Random()
+        #: ``conn``: this thread's ``http.client.HTTPConnection``.
+        self._local = threading.local()
 
     # -- transport -------------------------------------------------------
 
@@ -102,19 +113,36 @@ class ServiceClient:
         return headers
 
     def _once(self, method: str, path: str, body: dict | None) -> tuple[int, Any, dict]:
-        conn = http.client.HTTPConnection(self.host, self.port, timeout=self.timeout)
+        conn = getattr(self._local, "conn", None)
+        if conn is None:
+            conn = http.client.HTTPConnection(self.host, self.port, timeout=self.timeout)
+            self._local.conn = conn
+        payload = json.dumps(body).encode("utf-8") if body is not None else None
+        headers = self._headers(payload)
+        # http.client reopens a closed connection by itself; an open socket
+        # here was kept alive by the previous reply.
+        reused = conn.sock is not None
         try:
-            payload = json.dumps(body).encode("utf-8") if body is not None else None
-            conn.request(method, path, body=payload, headers=self._headers(payload))
-            resp = conn.getresponse()
-            raw = resp.read()
             try:
-                decoded = json.loads(raw) if raw else None
-            except json.JSONDecodeError:
-                decoded = raw.decode("utf-8", "replace")
-            return resp.status, decoded, dict(resp.getheaders())
-        finally:
+                conn.request(method, path, body=payload, headers=headers)
+                resp = conn.getresponse()
+            except ConnectionError:
+                if not reused:
+                    raise
+                # Closed by the server while idle, before any response byte:
+                # the request was never answered, so resend it now.
+                conn.close()
+                conn.request(method, path, body=payload, headers=headers)
+                resp = conn.getresponse()
+            raw = resp.read()
+        except BaseException:
             conn.close()
+            raise
+        try:
+            decoded = json.loads(raw) if raw else None
+        except json.JSONDecodeError:
+            decoded = raw.decode("utf-8", "replace")
+        return resp.status, decoded, dict(resp.getheaders())
 
     def _deadline_at(self, deadline: float | None) -> float | None:
         """Resolve a per-call budget (param wins over the instance default)

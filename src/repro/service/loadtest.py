@@ -36,7 +36,9 @@ What a run does:
 4. **Report**: ``BENCH_service.json`` (schema below) plus a human summary;
    exit 1 if any correctness check failed (not exactly-once, a failed
    job, or fewer completions than requested), or if
-   ``--min-jobs-per-min`` is set and missed.
+   ``--min-jobs-per-min`` is set and missed. A fleet that fails to boot
+   (a shard or the router never reports its port) is one stderr line and
+   exit 1, with the children already started stopped.
 
 Report schema (``schema: 1``)::
 
@@ -59,7 +61,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import queue
 import random
 import subprocess
@@ -424,7 +425,11 @@ def run_loadtest(cfg: LoadTestConfig) -> int:
         if fleet is not None:
             print(f"loadtest: booting {cfg.shards} shards + router "
                   f"(state: {state})", flush=True)
-            port = fleet.boot()
+            try:
+                port = fleet.boot()
+            except RuntimeError as exc:
+                print(f"loadtest: {exc}", file=sys.stderr)
+                return 1
         return _drive(cfg, host, port, fleet)
     finally:
         if fleet is not None:

@@ -31,11 +31,17 @@ Routing rules:
 - ``GET /healthz`` / ``GET /metrics``: aggregated across shards (summed
   counters, per-shard breakdown, ring description).
 
+Unary requests reach each shard over a small pool of keep-alive
+connections (:class:`repro.service.http.ConnectionPool`). A pooled
+connection the shard closed while it sat idle — for example because the
+shard restarted in place — is dropped and the request resent once on a
+fresh connection; that resend does not count against the shard.
+
 Degradation is per key range: a shard that refuses connections is marked
-down for ``cooldown`` seconds and only *its* keys answer ``503`` with a
-``Retry-After`` — the rest of the ring keeps serving. Streams report a
-down shard as per-spec ``failed`` lines rather than poisoning the whole
-sweep.
+down for ``cooldown`` seconds (its idle connections are dropped) and only
+*its* keys answer ``503`` with a ``Retry-After`` — the rest of the ring
+keeps serving. Streams report a down shard as per-spec ``failed`` lines
+rather than poisoning the whole sweep.
 
 Admission control is per client id (``X-Client-Id`` header, else
 ``anonymous``): a token bucket of ``rate`` tokens/sec with ``burst``
@@ -72,15 +78,12 @@ from typing import Any
 
 import repro
 from repro.service.http import (
-    MAX_BODY_BYTES,
-    READ_TIMEOUT,
-    PayloadTooLarge,
+    ConnectionPool,
+    Connections,
     Request,
     end_chunked,
-    fetch_json,
     json_response,
     open_json_stream,
-    read_request,
     start_chunked,
     write_chunk,
 )
@@ -234,13 +237,16 @@ class SimulationRouter:
         self._lease_rr = 0
         self._shutdown = asyncio.Event()
         self._draining = False
+        self._conns = Connections(self._route, self._stream)
+        #: Idle keep-alive connections to each shard, by shard name.
+        self._pools = {s.name: ConnectionPool(s.host, s.port) for s in shards}
 
     # ------------------------------------------------------------------
     # Lifecycle
 
     async def serve(self) -> int:
         """Run the router until SIGTERM/SIGINT; returns the exit status."""
-        server = await asyncio.start_server(self._handle_conn, self.cfg.host, self.cfg.port)
+        server = await asyncio.start_server(self._conns.handle, self.cfg.host, self.cfg.port)
         self.port = server.sockets[0].getsockname()[1]
         loop = asyncio.get_running_loop()
         for sig in (signal.SIGTERM, signal.SIGINT):
@@ -255,8 +261,9 @@ class SimulationRouter:
             flush=True,
         )
         await self._shutdown.wait()
-        server.close()
-        await server.wait_closed()
+        await self._conns.drain(server)
+        for pool in self._pools.values():
+            pool.close()
         print(
             f"dwarn-sim router drained: {self.counters['routed']} routed, "
             f"{self.counters['streams']} streams, "
@@ -276,6 +283,7 @@ class SimulationRouter:
     def _mark_down(self, shard: Shard) -> None:
         shard.down_until = time.monotonic() + self.cfg.cooldown
         self.counters["shard_down"] += 1
+        self._pools[shard.name].close()
 
     def _is_down(self, shard: Shard) -> bool:
         return time.monotonic() < shard.down_until
@@ -310,8 +318,8 @@ class SimulationRouter:
         """One unary round trip to a shard; ``None`` means it just went
         down (caller answers 503 for that key range)."""
         try:
-            status, payload, headers = await fetch_json(
-                shard.host, shard.port, method, path, body, timeout=self.cfg.timeout
+            status, payload, headers = await self._pools[shard.name].fetch_json(
+                method, path, body, timeout=self.cfg.timeout
             )
         except (OSError, ConnectionError, asyncio.TimeoutError):
             self._mark_down(shard)
@@ -373,34 +381,6 @@ class SimulationRouter:
 
     # ------------------------------------------------------------------
     # HTTP plumbing
-
-    async def _handle_conn(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        status, payload, extra = 500, {"error": "internal error"}, {}
-        try:
-            try:
-                request = await read_request(
-                    reader, timeout=READ_TIMEOUT, max_body=MAX_BODY_BYTES
-                )
-                if request is None:
-                    return
-                if request.method == "POST" and request.path.rstrip("/") == "/v1/stream":
-                    await self._stream(request, writer)
-                    return
-                status, payload, extra = await self._route(request)
-            except PayloadTooLarge:
-                status, payload, extra = 413, {"error": "request body too large"}, {}
-            except Exception as exc:  # route bug: report, don't kill the router
-                status, payload, extra = 500, {"error": f"{type(exc).__name__}: {exc}"}, {}
-            writer.write(json_response(status, payload, extra))
-            await writer.drain()
-        except (ConnectionError, BrokenPipeError):
-            pass
-        finally:
-            with contextlib.suppress(Exception):
-                writer.close()
-                await writer.wait_closed()
 
     async def _route(self, request: Request) -> tuple[int, Any, dict[str, str]]:
         """Dispatch one unary request (mirrors the shard's route table)."""
@@ -563,7 +543,7 @@ class SimulationRouter:
         ``failed`` lines for exactly its unfinished specs.
         """
         async def reject(status: int, payload: Any, extra: dict[str, str] | None = None) -> None:
-            writer.write(json_response(status, payload, extra))
+            writer.write(json_response(status, payload, extra, close=True))
             await writer.drain()
 
         if self._draining:
@@ -693,8 +673,8 @@ class SimulationRouter:
             if self._is_down(shard):
                 return None
             try:
-                status, payload, _ = await fetch_json(
-                    shard.host, shard.port, "GET", path, timeout=self.cfg.timeout
+                status, payload, _ = await self._pools[shard.name].fetch_json(
+                    "GET", path, timeout=self.cfg.timeout
                 )
             except (OSError, ConnectionError, asyncio.TimeoutError):
                 self._mark_down(shard)

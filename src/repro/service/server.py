@@ -56,12 +56,14 @@ seeing a 429. (``repro.service.client.ServiceClient.stream`` is the
 matching iterator.)
 
 Shutdown (SIGTERM/SIGINT) is a drain, not an abort: the listener closes,
-queued-but-unstarted jobs are cancelled, the in-flight batch runs to
-completion and is persisted, then the store is compacted and the process
-exits 0 — the behaviour the e2e test pins.
+idle keep-alive connections close, requests in flight are answered with
+``Connection: close``, queued-but-unstarted jobs are cancelled, the
+in-flight batch runs to completion and is persisted, then the store is
+compacted and the process exits 0 — the behaviour the e2e test pins.
 
-The HTTP substrate (request parsing, response framing, chunked streaming)
-is shared with the sharding router: :mod:`repro.service.http`.
+The HTTP substrate (request parsing, the keep-alive connection loop and
+its drain, response framing, chunked streaming) is shared with the
+sharding router: :mod:`repro.service.http`.
 
 Observability: the daemon keeps two ``repro.obs.RunManifest``s — one
 recording a pair per *completed job* (submit-to-finish latency by source;
@@ -90,13 +92,10 @@ from repro.experiments.parallel import SweepCostModel, run_pairs
 from repro.experiments.runner import CACHE_VERSION, ExperimentRunner
 from repro.obs.manifest import RunManifest
 from repro.service.http import (
-    MAX_BODY_BYTES,
-    READ_TIMEOUT,
-    PayloadTooLarge,
+    Connections,
     Request,
     end_chunked,
     json_response,
-    read_request,
     start_chunked,
     write_chunk,
 )
@@ -251,6 +250,7 @@ class SimulationService:
         self._wake = asyncio.Event()
         self._shutdown = asyncio.Event()
         self._draining = False
+        self._conns = Connections(self._route_request, self._stream)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -258,7 +258,7 @@ class SimulationService:
     async def serve(self) -> int:
         """Run the daemon until SIGTERM/SIGINT; returns the exit status."""
         loaded = self.store.load()
-        server = await asyncio.start_server(self._handle_conn, self.cfg.host, self.cfg.port)
+        server = await asyncio.start_server(self._conns.handle, self.cfg.host, self.cfg.port)
         self.port = server.sockets[0].getsockname()[1]
         loop = asyncio.get_running_loop()
         for sig in (signal.SIGTERM, signal.SIGINT):
@@ -275,9 +275,10 @@ class SimulationService:
         dispatcher = asyncio.create_task(self._dispatch_loop())
         await self._shutdown.wait()
 
-        # Drain: stop accepting, cancel what never started, finish what did.
-        server.close()
-        await server.wait_closed()
+        # Drain: stop accepting (idle keep-alive connections close, requests
+        # in flight answer "Connection: close"), cancel what never started,
+        # finish what did.
+        await self._conns.drain(server)
         now = time.time()
         for job in self.queue.cancel_queued("server shutting down"):
             job.finished_at = now
@@ -479,36 +480,11 @@ class SimulationService:
     # ------------------------------------------------------------------
     # HTTP plumbing
 
-    async def _handle_conn(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        status, payload, extra = 500, {"error": "internal error"}, {}
-        try:
-            try:
-                request = await read_request(
-                    reader, timeout=READ_TIMEOUT, max_body=MAX_BODY_BYTES
-                )
-                if request is None:
-                    return  # not HTTP; drop silently
-                if request.method == "POST" and request.path.rstrip("/") == "/v1/stream":
-                    # Streaming replies write their own (chunked) framing.
-                    await self._stream(request, writer)
-                    return
-                status, payload, extra = self._route(
-                    request.method, request.path, request.body
-                )
-            except PayloadTooLarge:
-                status, payload, extra = 413, {"error": "request body too large"}, {}
-            except Exception as exc:  # route bug: report, don't kill the server
-                status, payload, extra = 500, {"error": f"{type(exc).__name__}: {exc}"}, {}
-            writer.write(json_response(status, payload, extra))
-            await writer.drain()
-        except (ConnectionError, BrokenPipeError):  # client went away mid-reply
-            pass
-        finally:
-            with contextlib.suppress(Exception):
-                writer.close()
-                await writer.wait_closed()
+    async def _route_request(
+        self, request: Request
+    ) -> tuple[int, dict[str, Any], dict[str, str]]:
+        """:class:`~repro.service.http.Connections` entry for unary requests."""
+        return self._route(request.method, request.path, request.body)
 
     def _route(
         self, method: str, path: str, body: bytes
@@ -937,13 +913,13 @@ class SimulationService:
         than silently dropping the connection.
         """
         if self._draining:
-            writer.write(json_response(409, {"error": "server is shutting down"}))
+            writer.write(json_response(409, {"error": "server is shutting down"}, close=True))
             await writer.drain()
             return
         try:
             entries = parse_stream_request(request.json())
         except (ValueError, SpecError) as exc:
-            writer.write(json_response(400, {"error": str(exc)}))
+            writer.write(json_response(400, {"error": str(exc)}, close=True))
             await writer.drain()
             return
         validated: list[tuple[JobSpec, int]] = []
@@ -953,7 +929,7 @@ class SimulationService:
                 status, payload = result  # type: ignore[misc]
                 payload = dict(payload)
                 payload["error"] = f"jobs[{i}]: {payload['error']}"
-                writer.write(json_response(status, payload))
+                writer.write(json_response(status, payload, close=True))
                 await writer.drain()
                 return
             validated.append(result)  # type: ignore[arg-type]

@@ -254,3 +254,26 @@ class TestShutdownDrain:
                 srv2.kill()
         finally:
             srv.kill()
+
+    def test_store_hit_keeps_the_original_id_across_restart(self, tmp_path):
+        """The hit's record must not orphan the id it duplicates: after the
+        drain compacts the store and a new daemon loads it, both ids
+        resolve to themselves and the same result."""
+        srv = LiveServer(tmp_path)
+        try:
+            spec = {"workload": "2-MIX", "policy": "stall", "seed": 4, **TINY}
+            first = srv.client.submit(spec)
+            srv.client.wait(first["id"], timeout=120.0)
+            again = srv.client.submit(spec)
+            assert again["source"] == "store"
+            status, out = srv.sigterm_and_wait()
+            assert status == 0, out
+        finally:
+            srv.kill()
+        srv2 = LiveServer(tmp_path)
+        try:
+            results = [srv2.client.result(j["id"]) for j in (first, again)]
+            assert [r["id"] for r in results] == [first["id"], again["id"]]
+            assert results[0]["result"] == results[1]["result"]
+        finally:
+            srv2.kill()

@@ -85,9 +85,10 @@ class TestHarnessConfig:
         cfg = LoadTestConfig(router_url="nonsense")
         assert run_loadtest(cfg) == 2
 
-    def test_boot_failure_stops_started_children(self, tmp_path, monkeypatch):
-        """A router that never reports its port fails the run, and the
-        shards and router already started are stopped, not leaked."""
+    def test_boot_failure_stops_started_children(self, tmp_path, monkeypatch, capsys):
+        """A router that never reports its port fails the run with exit 1
+        and one stderr line, and the shards and router already started are
+        stopped, not leaked."""
         started: list[_Proc] = []
         real_start, real_await_port = _Proc.start, _Proc.await_port
 
@@ -107,8 +108,9 @@ class TestHarnessConfig:
             state_dir=str(tmp_path / "state"),
         )
         try:
-            with pytest.raises(RuntimeError, match="injected"):
-                run_loadtest(cfg)
+            assert run_loadtest(cfg) == 1
+            err = capsys.readouterr().err
+            assert err == "loadtest: router did not report a port (injected)\n"
             assert [p.name for p in started] == ["s0", "s1", "router"]
             running = [p.name for p in started if p.proc.poll() is None]
             assert running == [], f"children left running: {running}"

@@ -41,7 +41,7 @@ class TestInMemory:
         store.add(b)
         assert len(store) == 1
         assert store.get_by_key(a["key"])["id"] == "new"
-        assert store.get_by_id("old") is None  # superseded id unindexed
+        assert store.get_by_id("old")["id"] == "old"  # every id keeps its record
 
     def test_unknown_lookups(self):
         store = ResultStore(None)
@@ -93,13 +93,73 @@ class TestPersistence:
         path = tmp_path / "results.jsonl"
         store = ResultStore(path)
         store.add(_record(0, jid="old"))
-        store.add(_record(0, jid="new"))  # same key: supersedes
+        store.add(_record(0, jid="new"))  # same key: supersedes for dedup
         store.add(_record(1))
         assert len(path.read_text().splitlines()) == 3
-        assert store.compact() == 2
+        with path.open("a") as fh:
+            fh.write("torn line\n")
+        assert store.compact() == 3
         lines = [json.loads(ln) for ln in path.read_text().splitlines()]
-        assert len(lines) == 2
-        assert {r["id"] for r in lines} == {"new", "job1"}
+        assert [r["id"] for r in lines] == ["old", "new", "job1"]
+        reloaded = ResultStore(path)
+        assert reloaded.load() == 2
+        assert reloaded.get_by_key(lines[0]["key"])["id"] == "new"
+
+
+class TestStoreHitIds:
+    """A store hit is a new job id whose record copies the result; the id
+    it duplicates must keep resolving to itself."""
+
+    def test_both_ids_survive_reload_and_compact(self, tmp_path):
+        path = tmp_path / "results.jsonl"
+        store = ResultStore(path)
+        simulated = _record(0, jid="simulated")
+        hit = dict(simulated, id="hit", source="store")
+        store.add(simulated)
+        store.add(hit)
+        for _ in range(2):  # once from the append log, once compacted
+            reloaded = ResultStore(path)
+            reloaded.load()
+            for rec in (simulated, hit):
+                assert reloaded.get_by_id(rec["id"]) == rec
+            assert reloaded.get_by_key(hit["key"])["id"] == "hit"
+            reloaded.compact()
+
+    def test_each_id_lives_until_its_own_ttl(self, tmp_path):
+        store = ResultStore(tmp_path / "r.jsonl", ttl=10.0)
+        old = _record(0, jid="old", finished_at=time.time() - 100.0)
+        hit = dict(old, id="hit", finished_at=time.time())
+        store.add(old)
+        store.add(hit)
+        reloaded = ResultStore(store.path, ttl=10.0)
+        assert reloaded.load() == 1  # the hit's short line reads the expired one
+        for s in (store, reloaded):
+            assert s.get_by_id("old") is None  # past its TTL
+            assert s.get_by_id("hit") == hit
+            assert s.get_by_key(hit["key"]) == hit
+        assert store.compact() == 1
+        (line,) = store.path.read_text().splitlines()
+        assert json.loads(line) == hit  # written in full once "old" is gone
+
+    def test_hit_line_omits_what_it_shares(self, tmp_path):
+        path = tmp_path / "r.jsonl"
+        store = ResultStore(path)
+        simulated = _record(0, jid="simulated")
+        rerun = dict(simulated, id="rerun", result={"throughput": 9.0})
+        store.add(simulated)
+        store.add(dict(simulated, id="hit", source="store"))
+        store.add(rerun)
+        full, short, changed = (json.loads(ln) for ln in path.read_text().splitlines())
+        assert "result" in full and "result" in changed
+        assert short == {k: v for k, v in store.get_by_id("hit").items()
+                         if k not in ("spec", "pair", "result")}
+        # A short line with no earlier line for its key is skipped on load.
+        path.write_text(path.read_text().split("\n", 1)[1])
+        reloaded = ResultStore(path)
+        assert reloaded.load() == 1
+        assert reloaded.skipped_lines == 1
+        assert reloaded.get_by_id("hit") is None
+        assert reloaded.get_by_id("rerun") == rerun
 
 
 class TestTTL:
